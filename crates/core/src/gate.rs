@@ -105,7 +105,10 @@ pub struct VarianceGate {
     sigma_floor: Vec<f64>,
     /// Which features live on a circle (headings): increments are wrapped.
     circular: Vec<bool>,
-    last_raw: Option<Vec<f64>>,
+    /// The previous raw sample; meaningful only once `primed`.
+    last_raw: Vec<f64>,
+    /// Whether `last_raw` and `recon` hold a sample yet.
+    primed: bool,
     recon: Vec<f64>,
     last_gains: Vec<f64>,
 }
@@ -157,7 +160,8 @@ impl VarianceGate {
             config,
             sigma_floor: floors,
             circular: circ,
-            last_raw: None,
+            last_raw: vec![0.0; dim],
+            primed: false,
             recon: vec![0.0; dim],
             last_gains: vec![1.0; dim],
         }
@@ -176,20 +180,23 @@ impl VarianceGate {
     }
 
     /// Filters one signal vector, returning the reconstructed (sanitized)
-    /// version.
+    /// version. Allocation-free: the result borrows the gate's own
+    /// reconstruction buffer.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
-    pub fn filter(&mut self, x: &[f64]) -> Vec<f64> {
+    pub fn filter(&mut self, x: &[f64]) -> &[f64] {
         assert_eq!(x.len(), self.dim(), "feature dimension mismatch");
         let c = self.config;
-        let Some(last) = self.last_raw.clone() else {
-            self.last_raw = Some(x.to_vec());
-            self.recon = x.to_vec();
-            return x.to_vec();
-        };
+        if !self.primed {
+            self.primed = true;
+            self.last_raw.copy_from_slice(x);
+            self.recon.copy_from_slice(x);
+            return &self.recon;
+        }
 
+        let last = &self.last_raw;
         for i in 0..x.len() {
             let mut dx = x[i] - last[i];
             if self.circular[i] {
@@ -218,8 +225,8 @@ impl VarianceGate {
                 self.recon[i] = wrap_angle(self.recon[i]);
             }
         }
-        self.last_raw = Some(x.to_vec());
-        self.recon.clone()
+        self.last_raw.copy_from_slice(x);
+        &self.recon
     }
 
     /// Clears all state (between missions).
@@ -230,7 +237,7 @@ impl VarianceGate {
         for g in &mut self.last_gains {
             *g = 1.0;
         }
-        self.last_raw = None;
+        self.primed = false;
         self.recon.iter_mut().for_each(|r| *r = 0.0);
     }
 }

@@ -9,6 +9,11 @@
 //! sessions instead of once per session, which is where the batched
 //! speedup comes from.
 //!
+//! The single-session streaming path uses the same kernels the other way
+//! round: its weights are stored k-major, so `a` is the one input vector
+//! (`m = 1`) and the "panel" is the weight block, with the layer's output
+//! units as the columns. The lanes then vectorise across output units.
+//!
 //! # Bit-identity contract
 //!
 //! These kernels are *op-order preserving*: for every output element
@@ -591,6 +596,21 @@ mod tests {
         gemm_impl_f64(&a, k, m, k, None, &x, n, &mut portable, n, n);
         for (d, p) in dispatched.iter().zip(&portable) {
             assert_eq!(d.to_bits(), p.to_bits());
+        }
+        // The single-lane streaming shape: one input row times a k-major
+        // weight block, n output units wide — quad tiles, single tiles and
+        // the scalar remainder (n = 96 is the deployed 4*hidden).
+        for &n in &[4usize, 24, 96, 100] {
+            let a = fill(23, k);
+            let x = fill(24, k * n);
+            let base = fill(25, n);
+            let mut dispatched = base.clone();
+            let mut portable = base;
+            gemm_acc(&a, k, 1, k, &x, n, &mut dispatched, n, n);
+            gemm_impl_f64(&a, k, 1, k, None, &x, n, &mut portable, n, n);
+            for (d, p) in dispatched.iter().zip(&portable) {
+                assert_eq!(d.to_bits(), p.to_bits(), "m=1 n={n}");
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! products are summed in the same ascending-`k` order with the same
 //! two-accumulator `(bias + w·x) + u·h` reduction, activations and cell
 //! updates are elementwise with per-element expressions copied from
-//! `FusedLstm::step` / `Dense::infer_into`, and the `k` dimension is
+//! `FusedLstm::step` / `Dense::infer`, and the `k` dimension is
 //! never split. `crates/ml/tests/batch_bit_identity.rs` gates this with
 //! proptests; `exp_perf` re-gates it before every timing run.
 //!
@@ -43,10 +43,10 @@
 //! f32 entry points `det_banned` and CI fails if they ever become
 //! reachable from `Trace::fingerprint` / `FleetEngine::tick`.
 
-use crate::dense::{Activation, Dense};
+use crate::dense::Activation;
 use crate::digest::fnv64;
 use crate::normalize::Normalizer;
-use crate::stream::{FusedLstm, PredictError, StreamState, StreamingRegressor};
+use crate::stream::{CompiledDense, FusedLstm, PredictError, StreamState, StreamingRegressor};
 use pidpiper_math::activations;
 use pidpiper_math::gemm;
 
@@ -86,17 +86,17 @@ struct F32Lstm {
 }
 
 impl F32Lstm {
-    fn from_fused(l: &FusedLstm) -> Self {
+    fn from_fused(l: &FusedLstm, rows: &[f64]) -> Self {
         F32Lstm {
             input: l.input,
             hidden: l.hidden,
-            rows: l.rows.iter().map(|&v| v as f32).collect(),
+            rows: rows.iter().map(|&v| v as f32).collect(),
             bias: l.bias.iter().map(|&v| v as f32).collect(),
         }
     }
 }
 
-/// Single-precision mirror of a [`Dense`] layer.
+/// Single-precision mirror of a dense layer.
 #[derive(Debug, Clone)]
 struct F32Dense {
     rows: usize,
@@ -108,14 +108,44 @@ struct F32Dense {
 }
 
 impl F32Dense {
-    fn from_dense(d: &Dense) -> Self {
+    fn from_dense(d: &CompiledDense, rows: &[f64]) -> Self {
         F32Dense {
-            rows: d.output_dim(),
-            cols: d.input_dim(),
-            w: d.w.value.iter().map(|&v| v as f32).collect(),
-            b: d.b.value.iter().map(|&v| v as f32).collect(),
-            alpha: d.alpha.value.iter().map(|&v| v as f32).collect(),
-            activation: d.activation(),
+            rows: d.output,
+            cols: d.input,
+            w: rows.iter().map(|&v| v as f32).collect(),
+            b: d.bias.iter().map(|&v| v as f32).collect(),
+            alpha: d.alpha.iter().map(|&v| v as f32).collect(),
+            activation: d.activation,
+        }
+    }
+}
+
+/// Row-major copies of the engine's weight blocks, the layout the batched
+/// GEMM sweeps: one weight row per output unit, broadcast across the
+/// lanes. The streaming engine stores only k-major blocks, so the batched
+/// engine builds these once when it compiles.
+#[derive(Debug, Clone)]
+struct RowMajorWeights {
+    /// Fused `[w_row | u_row]` gate rows, `[4*hidden x (input+hidden)]`.
+    lstm1: Vec<f64>,
+    /// Layer 2's fused gate rows.
+    lstm2: Vec<f64>,
+    /// `[output x input]` per dense layer (the `Dense::w` layout).
+    fc_sigmoid: Vec<f64>,
+    fc_prelu1: Vec<f64>,
+    fc_prelu2: Vec<f64>,
+    head: Vec<f64>,
+}
+
+impl RowMajorWeights {
+    fn from_engine(e: &StreamingRegressor) -> Self {
+        RowMajorWeights {
+            lstm1: e.lstm1.rows(),
+            lstm2: e.lstm2.rows(),
+            fc_sigmoid: e.fc_sigmoid.rows(),
+            fc_prelu1: e.fc_prelu1.rows(),
+            fc_prelu2: e.fc_prelu2.rows(),
+            head: e.head.rows(),
         }
     }
 }
@@ -480,6 +510,7 @@ impl BatchScratch {
 #[derive(Debug, Clone)]
 pub struct BatchedStreamingRegressor {
     engine: StreamingRegressor,
+    rows: RowMajorWeights,
     precision: BatchPrecision,
     f32w: Option<F32Weights>,
     weights_fp: u64,
@@ -495,22 +526,24 @@ impl BatchedStreamingRegressor {
     /// builds single-precision weight mirrors for the `*_f32` entry
     /// points (the f64 path stays available and exact).
     pub fn with_precision(engine: &StreamingRegressor, precision: BatchPrecision) -> Self {
+        let rows = RowMajorWeights::from_engine(engine);
         let f32w = match precision {
             BatchPrecision::Exact => None,
             BatchPrecision::F32 => Some(F32Weights {
-                lstm1: F32Lstm::from_fused(&engine.lstm1),
-                lstm2: F32Lstm::from_fused(&engine.lstm2),
-                fc_sigmoid: F32Dense::from_dense(&engine.fc_sigmoid),
-                fc_prelu1: F32Dense::from_dense(&engine.fc_prelu1),
-                fc_prelu2: F32Dense::from_dense(&engine.fc_prelu2),
-                head: F32Dense::from_dense(&engine.head),
+                lstm1: F32Lstm::from_fused(&engine.lstm1, &rows.lstm1),
+                lstm2: F32Lstm::from_fused(&engine.lstm2, &rows.lstm2),
+                fc_sigmoid: F32Dense::from_dense(&engine.fc_sigmoid, &rows.fc_sigmoid),
+                fc_prelu1: F32Dense::from_dense(&engine.fc_prelu1, &rows.fc_prelu1),
+                fc_prelu2: F32Dense::from_dense(&engine.fc_prelu2, &rows.fc_prelu2),
+                head: F32Dense::from_dense(&engine.head, &rows.head),
                 t_mean: engine.target_normalizer.means().iter().map(|&v| v as f32).collect(),
                 t_std: engine.target_normalizer.stds().iter().map(|&v| v as f32).collect(),
             }),
         };
-        let weights_fp = fingerprint_weights(engine);
+        let weights_fp = fingerprint_weights(engine, &rows);
         BatchedStreamingRegressor {
             engine: engine.clone(),
+            rows,
             precision,
             f32w,
             weights_fp,
@@ -592,6 +625,7 @@ impl BatchedStreamingRegressor {
             let nb = (n - off).min(COL_BLOCK);
             lstm_step_panel(
                 &self.engine.lstm1,
+                &self.rows.lstm1,
                 &scratch.x[off..],
                 &mut scratch.h1[off..],
                 &mut scratch.c1[off..],
@@ -601,6 +635,7 @@ impl BatchedStreamingRegressor {
             );
             lstm_step_panel(
                 &self.engine.lstm2,
+                &self.rows.lstm2,
                 &scratch.h1[off..],
                 &mut scratch.h2[off..],
                 &mut scratch.c2[off..],
@@ -628,10 +663,11 @@ impl BatchedStreamingRegressor {
         let mut off = 0;
         while off < n {
             let nb = (n - off).min(COL_BLOCK);
-            dense_panel(&self.engine.fc_sigmoid, &scratch.h2[off..], &mut scratch.fc_a[off..], w, nb);
-            dense_panel(&self.engine.fc_prelu1, &scratch.fc_a[off..], &mut scratch.fc_b[off..], w, nb);
-            dense_panel(&self.engine.fc_prelu2, &scratch.fc_b[off..], &mut scratch.fc_a[off..], w, nb);
-            dense_panel(&self.engine.head, &scratch.fc_a[off..], &mut scratch.z[off..], w, nb);
+            let (e, rows) = (&self.engine, &self.rows);
+            dense_panel(&e.fc_sigmoid, &rows.fc_sigmoid, &scratch.h2[off..], &mut scratch.fc_a[off..], w, nb);
+            dense_panel(&e.fc_prelu1, &rows.fc_prelu1, &scratch.fc_a[off..], &mut scratch.fc_b[off..], w, nb);
+            dense_panel(&e.fc_prelu2, &rows.fc_prelu2, &scratch.fc_b[off..], &mut scratch.fc_a[off..], w, nb);
+            dense_panel(&e.head, &rows.head, &scratch.fc_a[off..], &mut scratch.z[off..], w, nb);
             inverse_panel(
                 &self.engine.target_normalizer,
                 &scratch.z[off..],
@@ -777,11 +813,14 @@ impl BatchedStreamingRegressor {
     }
 }
 
-/// One batched [`FusedLstm`] cell update over `n` lanes: the two-pass
-/// `(bias + w·x) + u·h` GEMM reduction followed by the elementwise gate
-/// and cell expressions of `FusedLstm::step`, per lane.
+/// One batched [`FusedLstm`] cell update over `n` lanes (`rows` is the
+/// layer's row-major fused block): the two-pass `(bias + w·x) + u·h` GEMM
+/// reduction followed by the elementwise gate and cell expressions of
+/// `FusedLstm::step`, per lane.
+#[allow(clippy::too_many_arguments)] // one panel per operand; a struct would only rename them
 fn lstm_step_panel(
     l: &FusedLstm,
+    rows: &[f64],
     xp: &[f64],
     hp: &mut [f64],
     cp: &mut [f64],
@@ -791,8 +830,8 @@ fn lstm_step_panel(
 ) {
     let hd = l.hidden;
     let stride = l.input + hd;
-    gemm::gemm_bias(&l.rows, stride, 4 * hd, l.input, &l.bias, xp, w, pre, w, n);
-    gemm::gemm_acc(&l.rows[l.input..], stride, 4 * hd, hd, hp, w, pre, w, n);
+    gemm::gemm_bias(rows, stride, 4 * hd, l.input, &l.bias, xp, w, pre, w, n);
+    gemm::gemm_acc(&rows[l.input..], stride, 4 * hd, hd, hp, w, pre, w, n);
     // Gate activations via the ISA-dispatched slice kernels
     // (bit-identical to the scalar calls — see
     // `pidpiper_math::activations`). In the panel layout the i/f/o gate
@@ -821,20 +860,20 @@ fn lstm_step_panel(
     }
 }
 
-/// One batched dense layer over `n` lanes, mirroring `Dense::infer_into`
-/// per lane (bias preload folded into the GEMM, activation in place).
-fn dense_panel(d: &Dense, xp: &[f64], outp: &mut [f64], w: usize, n: usize) {
-    let m = d.output_dim();
-    let k = d.input_dim();
-    gemm::gemm_bias(&d.w.value, k, m, k, &d.b.value, xp, w, outp, w, n);
-    match d.activation() {
+/// One batched dense layer over `n` lanes (`rows` is its row-major
+/// `[output x input]` block), mirroring `Dense::infer` per lane (bias
+/// preload folded into the GEMM, activation in place).
+fn dense_panel(d: &CompiledDense, rows: &[f64], xp: &[f64], outp: &mut [f64], w: usize, n: usize) {
+    let (m, k) = (d.output, d.input);
+    gemm::gemm_bias(rows, k, m, k, &d.bias, xp, w, outp, w, n);
+    match d.activation {
         Activation::Linear => {}
         Activation::Sigmoid => {
             activations::apply_rows(outp, 0..m, w, n, activations::fast_sigmoid_slice);
         }
         Activation::PRelu => {
             for r in 0..m {
-                let alpha = d.alpha.value[r];
+                let alpha = d.alpha[r];
                 for c in 0..n {
                     let v = outp[r * w + c];
                     outp[r * w + c] = if v > 0.0 { v } else { alpha * v };
@@ -908,27 +947,28 @@ fn dense_panel_f32(d: &F32Dense, xp: &[f32], outp: &mut [f32], w: usize, n: usiz
 
 /// FNV-1a over the full weight snapshot: config dims, fused LSTM rows and
 /// biases, the dense stack (weights, biases, PReLU slopes) and both
-/// normalizers, all as little-endian f64 bits.
-fn fingerprint_weights(engine: &StreamingRegressor) -> u64 {
+/// normalizers, all as little-endian f64 bits. Weights are hashed in
+/// their row-major layout.
+fn fingerprint_weights(engine: &StreamingRegressor, rows: &RowMajorWeights) -> u64 {
     let c = &engine.config;
     let mut bytes: Vec<u8> = Vec::new();
     for dim in [c.input_dim, c.output_dim, c.hidden, c.fc_width, c.window] {
         bytes.extend_from_slice(&(dim as u64).to_le_bytes());
     }
     let mut feed = Vec::new();
-    for l in [&engine.lstm1, &engine.lstm2] {
-        feed.push(l.rows.as_slice());
+    for (l, r) in [(&engine.lstm1, &rows.lstm1), (&engine.lstm2, &rows.lstm2)] {
+        feed.push(r.as_slice());
         feed.push(l.bias.as_slice());
     }
-    for d in [
-        &engine.fc_sigmoid,
-        &engine.fc_prelu1,
-        &engine.fc_prelu2,
-        &engine.head,
+    for (d, r) in [
+        (&engine.fc_sigmoid, &rows.fc_sigmoid),
+        (&engine.fc_prelu1, &rows.fc_prelu1),
+        (&engine.fc_prelu2, &rows.fc_prelu2),
+        (&engine.head, &rows.head),
     ] {
-        feed.push(d.w.value.as_slice());
-        feed.push(d.b.value.as_slice());
-        feed.push(d.alpha.value.as_slice());
+        feed.push(r.as_slice());
+        feed.push(d.bias.as_slice());
+        feed.push(d.alpha.as_slice());
     }
     for nm in [&engine.normalizer, &engine.target_normalizer] {
         feed.push(nm.means());

@@ -107,34 +107,6 @@ impl Dense {
         }
     }
 
-    /// Inference into a caller-provided buffer, allocation-free.
-    /// Bit-identical to [`Dense::infer`]. `x` and `out` must be disjoint
-    /// slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the output dimension;
-    /// debug-asserts the input dimension.
-    pub fn infer_into(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.input_dim());
-        out.copy_from_slice(&self.b.value);
-        self.w.matvec_into(x, out);
-        match self.activation {
-            Activation::Linear => {}
-            Activation::Sigmoid => {
-                for z in out.iter_mut() {
-                    *z = sigmoid(*z);
-                }
-            }
-            Activation::PRelu => {
-                for (i, z) in out.iter_mut().enumerate() {
-                    let v = *z;
-                    *z = if v > 0.0 { v } else { self.alpha.value[i] * v };
-                }
-            }
-        }
-    }
-
     /// Backward pass: given `dL/dy`, accumulates parameter gradients and
     /// returns `dL/dx`.
     ///

@@ -20,7 +20,8 @@
 //!   network (2x LSTM → sigmoid FC → 2x PReLU FC → linear head), with
 //!   training, windowed inference and text (de)serialization;
 //! - [`stream::StreamingRegressor`] — the compiled, zero-allocation
-//!   streaming form of the network (fused LSTM gate blocks, caller-owned
+//!   streaming form of the network (fused k-major LSTM gate blocks run as
+//!   single-row `pidpiper_math::gemm` products, caller-owned
 //!   [`stream::InferenceScratch`]), bit-identical to the reference
 //!   `predict` path;
 //! - [`batch::BatchedStreamingRegressor`] — the batched fleet form:

@@ -6,10 +6,12 @@
 //! FFC hot path, which runs inside every control tick. This module
 //! provides the deployment path:
 //!
-//! - [`StreamingRegressor`] — a compiled form of the network whose four
-//!   LSTM gate matmuls are fused into one contiguous row-major
-//!   `[4*hidden x (input+hidden)]` block per layer (one cache-friendly
-//!   sweep per step instead of two strided ones);
+//! - [`StreamingRegressor`] — a compiled form of the network that stores
+//!   every weight matrix **k-major** (one row per input feature `k`,
+//!   holding that feature's weight into every output unit): each LSTM
+//!   layer's four gate matmuls are fused into one contiguous
+//!   `[(input+hidden) x 4*hidden]` block, and each dense layer keeps an
+//!   `[input x output]` block, the transpose of `Dense::w`;
 //! - [`InferenceScratch`] — caller-owned preallocated working buffers;
 //! - [`StreamState`] — the `(h, c)` pair of both LSTM layers, exposed so
 //!   callers can checkpoint a partially-consumed window (the FFC caches
@@ -19,36 +21,56 @@
 //!   that is **bit-identical** to [`LstmRegressor::predict`] and performs
 //!   zero heap allocation after the scratch has been built.
 //!
-//! Bit-identity is load-bearing: the fused rows store `[w_row | u_row]`
-//! contiguously but the dot products are still accumulated in two
-//! separate passes (`(b + w·x) + u·h`), preserving the exact f64
-//! operation order of `Param::matvec_into` as called by the reference
-//! path. Tests in this module and `crates/ml/tests` compare outputs with
-//! `f64::to_bits`, not an epsilon.
+//! The k-major layout turns one step into single-row products
+//! `x^T · W` through `pidpiper_math::gemm::gemm_acc` (`m = 1`), which
+//! vectorise across the output units instead of running one scalar
+//! reduction per unit. The gate activations and the cell's `tanh` then
+//! run through the ISA-dispatched slice kernels of
+//! `pidpiper_math::activations`.
+//!
+//! Bit-identity is load-bearing. Every output unit still owns one
+//! accumulator summed in ascending `k`: the gate pre-activations are
+//! preloaded with the bias, the `x` pass adds its accumulator in one
+//! rounding step, and the `h` pass adds a second accumulator in another,
+//! so a gate reads `(bias + Σ w·x) + Σ u·h` — the exact f64 operation
+//! order of `Param::matvec_into` as called by the reference path (`x·w`
+//! and `w·x` round identically). Dense layers are the same single pass,
+//! `bias + Σ w·x`. The slice kernels apply the same per-element ops as the
+//! scalar activations. Tests in this module and `crates/ml/tests` compare
+//! outputs with `f64::to_bits`, not an epsilon.
+//!
+//! Only the k-major blocks live here. The batched fleet engine reads its
+//! weights row-major and builds those copies itself when it compiles
+//! (`BatchedStreamingRegressor::compile`).
 
-use crate::dense::Dense;
+use crate::dense::{Activation, Dense};
 use crate::lstm::LstmLayer;
 use crate::network::{LstmRegressor, RegressorConfig};
 use crate::normalize::Normalizer;
+use pidpiper_math::activations::{fast_sigmoid_slice, fast_tanh_slice};
+use pidpiper_math::gemm::gemm_acc;
 use std::fmt;
 
-/// The logistic gate activation, shared by every inference path.
-///
-/// Delegates to [`pidpiper_math::activations::fast_sigmoid`]: a
-/// branch-free body the compiler can vectorize inside the batched panel
-/// loops. Scalar streaming, batched, and training forward passes must
-/// all call this same function — see the activations module docs for
-/// the bit-identity argument.
-#[inline]
-pub(crate) fn sigmoid(z: f64) -> f64 {
-    pidpiper_math::activations::fast_sigmoid(z)
+/// Transposes a row-major `[rows x cols]` matrix into a row-major
+/// `[cols x rows]` one. Copies only, so the values keep their bits.
+fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    debug_assert_eq!(src.len(), rows * cols);
+    let mut dst = vec![0.0; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+    dst
 }
 
-/// The hyperbolic-tangent activation, shared by every inference path
-/// (same contract as [`sigmoid`]).
-#[inline]
-pub(crate) fn tanh(z: f64) -> f64 {
-    pidpiper_math::activations::fast_tanh(z)
+/// `out = bias + x^T · cols` over one k-major block: `bias` preloaded,
+/// then one ascending-`k` accumulator per output unit added in a single
+/// rounding step (`Param::matvec_into`'s order).
+fn affine_into(x: &[f64], cols: &[f64], bias: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    out.copy_from_slice(bias);
+    gemm_acc(x, x.len(), 1, x.len(), cols, n, out, n, n);
 }
 
 /// Typed error for malformed inference inputs.
@@ -107,16 +129,18 @@ impl fmt::Display for PredictError {
 impl std::error::Error for PredictError {}
 
 /// One LSTM layer with the four gate matmuls fused into a single
-/// contiguous row-major block.
+/// contiguous k-major block.
 ///
-/// Row `r` of `rows` is `[w_row(r) | u_row(r)]` of length
-/// `input + hidden`; the gate order is the layer's stacked `[i; f; o; g]`.
+/// `cols` is `[(input+hidden) x 4*hidden]`: row `k < input` holds input
+/// feature `k`'s weight into every gate unit (`W^T`), row `input + j`
+/// the recurrent weights of `h[j]` (`U^T`). Within a row the units follow
+/// the layer's stacked `[i; f; o; g]` gate order.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedLstm {
     pub(crate) input: usize,
     pub(crate) hidden: usize,
-    /// `4*hidden` fused rows, each `input + hidden` long.
-    pub(crate) rows: Vec<f64>,
+    /// `input + hidden` k-major rows, each `4*hidden` long.
+    pub(crate) cols: Vec<f64>,
     /// Gate biases (`4*hidden`).
     pub(crate) bias: Vec<f64>,
 }
@@ -125,58 +149,104 @@ impl FusedLstm {
     fn from_layer(layer: &LstmLayer) -> Self {
         let input = layer.input_dim();
         let hidden = layer.hidden_dim();
-        let stride = input + hidden;
-        let mut rows = vec![0.0; 4 * hidden * stride];
-        for r in 0..4 * hidden {
-            let dst = &mut rows[r * stride..(r + 1) * stride];
-            dst[..input].copy_from_slice(&layer.w.value[r * input..(r + 1) * input]);
-            dst[input..].copy_from_slice(&layer.u.value[r * hidden..(r + 1) * hidden]);
-        }
+        let mut cols = transpose(&layer.w.value, 4 * hidden, input);
+        cols.extend(transpose(&layer.u.value, 4 * hidden, hidden));
         FusedLstm {
             input,
             hidden,
-            rows,
+            cols,
             bias: layer.b.value.clone(),
         }
     }
 
+    /// The fused block row-major, `[4*hidden x (input+hidden)]`: row `r`
+    /// is `[w_row(r) | u_row(r)]`, the layout the batched GEMM reads.
+    pub(crate) fn rows(&self) -> Vec<f64> {
+        transpose(&self.cols, self.input + self.hidden, 4 * self.hidden)
+    }
+
     /// One cell update, in place. `pre` must hold at least `4*hidden`
     /// slots. The accumulation order — `(bias + w·x) + u·h`, each dot
-    /// product summed left to right into its own accumulator — mirrors
+    /// product summed in ascending `k` into its own accumulator — mirrors
     /// `Param::matvec_into` exactly; changing it breaks bit-identity with
     /// the reference path.
     fn step(&self, x: &[f64], h: &mut [f64], c: &mut [f64], pre: &mut [f64]) {
         let hd = self.hidden;
-        let stride = self.input + hd;
+        let g = 4 * hd;
         debug_assert_eq!(x.len(), self.input);
         debug_assert_eq!(h.len(), hd);
         debug_assert_eq!(c.len(), hd);
-        let pre = &mut pre[..4 * hd];
-        for r in 0..4 * hd {
-            let row = &self.rows[r * stride..(r + 1) * stride];
-            let (wx, uh) = row.split_at(self.input);
-            let mut acc = 0.0;
-            for (w, xi) in wx.iter().zip(x) {
-                acc += w * xi;
-            }
-            let mut z = self.bias[r] + acc;
-            let mut acc = 0.0;
-            for (w, hi) in uh.iter().zip(h.iter()) {
-                acc += w * hi;
-            }
-            z += acc;
-            pre[r] = z;
-        }
-        for j in 0..hd {
-            pre[j] = sigmoid(pre[j]);
-            pre[hd + j] = sigmoid(pre[hd + j]);
-            pre[2 * hd + j] = sigmoid(pre[2 * hd + j]);
-            pre[3 * hd + j] = tanh(pre[3 * hd + j]);
-        }
+        let pre = &mut pre[..g];
+        let (w_cols, u_cols) = self.cols.split_at(self.input * g);
+        affine_into(x, w_cols, &self.bias, pre);
+        gemm_acc(h, hd, 1, hd, u_cols, g, pre, g, g);
+        // i/f/o gates are the contiguous sigmoid units, g the tanh ones.
+        fast_sigmoid_slice(&mut pre[..3 * hd]);
+        fast_tanh_slice(&mut pre[3 * hd..]);
+        // Cell update staged as in the batched panel step, so `tanh(c)`
+        // also runs through the slice kernel: `h = o * tanh(f*c + i*g)`
+        // per element, the reference's op sequence.
         for j in 0..hd {
             let cj = pre[hd + j] * c[j] + pre[j] * pre[3 * hd + j];
             c[j] = cj;
-            h[j] = pre[2 * hd + j] * tanh(cj);
+            h[j] = cj;
+        }
+        fast_tanh_slice(h);
+        for (hj, oj) in h.iter_mut().zip(&pre[2 * hd..3 * hd]) {
+            *hj *= oj;
+        }
+    }
+}
+
+/// One dense layer compiled for single-lane inference: the weights
+/// k-major (`[input x output]`, the transpose of `Dense::w`), so the
+/// affine map is one `gemm_acc` row product.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledDense {
+    pub(crate) input: usize,
+    pub(crate) output: usize,
+    /// `input` k-major rows, each `output` long.
+    pub(crate) cols: Vec<f64>,
+    /// Biases (`output`).
+    pub(crate) bias: Vec<f64>,
+    /// PReLU negative slopes (`output`).
+    pub(crate) alpha: Vec<f64>,
+    pub(crate) activation: Activation,
+}
+
+impl CompiledDense {
+    fn from_dense(d: &Dense) -> Self {
+        let (input, output) = (d.input_dim(), d.output_dim());
+        CompiledDense {
+            input,
+            output,
+            cols: transpose(&d.w.value, output, input),
+            bias: d.b.value.clone(),
+            alpha: d.alpha.value.clone(),
+            activation: d.activation(),
+        }
+    }
+
+    /// The weights row-major, `[output x input]` (the `Dense::w` layout
+    /// the batched GEMM reads).
+    pub(crate) fn rows(&self) -> Vec<f64> {
+        transpose(&self.cols, self.input, self.output)
+    }
+
+    /// Bit-identical to `Dense::infer`, into `out`. `x` and `out` must
+    /// be disjoint.
+    fn infer_into(&self, x: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(x.len(), self.input);
+        affine_into(x, &self.cols, &self.bias, out);
+        match self.activation {
+            Activation::Linear => {}
+            Activation::Sigmoid => fast_sigmoid_slice(out),
+            Activation::PRelu => {
+                for (z, a) in out.iter_mut().zip(&self.alpha) {
+                    let v = *z;
+                    *z = if v > 0.0 { v } else { a * v };
+                }
+            }
         }
     }
 }
@@ -304,10 +374,10 @@ pub struct StreamingRegressor {
     pub(crate) config: RegressorConfig,
     pub(crate) lstm1: FusedLstm,
     pub(crate) lstm2: FusedLstm,
-    pub(crate) fc_sigmoid: Dense,
-    pub(crate) fc_prelu1: Dense,
-    pub(crate) fc_prelu2: Dense,
-    pub(crate) head: Dense,
+    pub(crate) fc_sigmoid: CompiledDense,
+    pub(crate) fc_prelu1: CompiledDense,
+    pub(crate) fc_prelu2: CompiledDense,
+    pub(crate) head: CompiledDense,
     pub(crate) normalizer: Normalizer,
     pub(crate) target_normalizer: Normalizer,
 }
@@ -322,10 +392,10 @@ impl StreamingRegressor {
             config: *model.config(),
             lstm1: FusedLstm::from_layer(lstm1),
             lstm2: FusedLstm::from_layer(lstm2),
-            fc_sigmoid: fc_sigmoid.clone(),
-            fc_prelu1: fc_prelu1.clone(),
-            fc_prelu2: fc_prelu2.clone(),
-            head: head.clone(),
+            fc_sigmoid: CompiledDense::from_dense(fc_sigmoid),
+            fc_prelu1: CompiledDense::from_dense(fc_prelu1),
+            fc_prelu2: CompiledDense::from_dense(fc_prelu2),
+            head: CompiledDense::from_dense(head),
             normalizer: model.normalizer().clone(),
             target_normalizer: model.target_normalizer().clone(),
         }

@@ -22,8 +22,10 @@ proptest! {
     fn predict_into_bit_identical_across_configs(
         input_dim in 1usize..6,
         output_dim in 1usize..4,
-        hidden in 1usize..8,
-        fc_width in 1usize..8,
+        // 4*hidden spans the gemm's quad tiles (>= 32 units, production's
+        // 4*24 = 96), single 8-lane tiles and the scalar remainder.
+        hidden in 1usize..27,
+        fc_width in 1usize..27,
         window in 1usize..8,
         seed in 0u64..10_000,
         fit_sel in 0u8..2,
@@ -38,6 +40,10 @@ proptest! {
             let targets = random_rows(&mut rng, window + 20, output_dim, 10.0);
             let ds = WindowedDataset::from_series(&inputs, &targets, window);
             model.fit_normalizers(&ds);
+            // One epoch moves the zero-initialized biases, without which
+            // the two gate accumulators would commute and a swapped
+            // reduction order would go unnoticed.
+            model.train(&ds, 1, 0.02, seed);
         }
         let engine = model.compile();
         let mut scratch = engine.scratch();

@@ -219,3 +219,64 @@ fn mission_trace_streams_replay_byte_identically() {
     // otherwise this equality would not cover the FFC recovery path.
     assert!(a.recovery_steps() > 0, "attack never triggered recovery");
 }
+
+/// A ragged shape through the compiled engine: hidden 25 gives 100 gate
+/// units (three 32-unit tiles, no 8-unit tile, a 4-unit scalar tail) and
+/// fc_width 9 one 8-unit tile plus a 1-unit tail. Both entry points — the
+/// whole-window `predict_into` and the incremental `step_normed` +
+/// `finish_into` — must match `LstmRegressor::predict` to the bit.
+#[test]
+fn ragged_shape_engine_bit_identical_to_reference() {
+    let config = RegressorConfig {
+        input_dim: 7,
+        output_dim: 4,
+        hidden: 25,
+        fc_width: 9,
+        window: 6,
+    };
+    let series = |n: usize, dim: usize, salt: f64| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|t| {
+                (0..dim)
+                    .map(|j| ((t * 13 + j * 7) as f64 * 0.29 + salt).sin() * (3.0 + j as f64))
+                    .collect()
+            })
+            .collect()
+    };
+    let ds = WindowedDataset::from_series(
+        &series(40, config.input_dim, 0.5),
+        &series(40, config.output_dim, 1.7),
+        config.window,
+    );
+    let mut model = LstmRegressor::new(config, 2025);
+    model.fit_normalizers(&ds);
+    // One epoch moves every bias off zero. With zero biases the two gate
+    // accumulators commute, so a swapped reduction order would still
+    // match the reference.
+    model.train(&ds, 1, 0.02, 3);
+    let engine = model.compile();
+    let mut scratch = engine.scratch();
+    let mut state = engine.state();
+    let mut normed = vec![0.0; config.input_dim];
+    let mut whole = vec![0.0; config.output_dim];
+    let mut inc = vec![0.0; config.output_dim];
+    for salt in [0.0, 2.3, -4.1] {
+        let window = series(config.window, config.input_dim, salt);
+        let reference = model.predict(&window).expect("valid window");
+        engine
+            .predict_into(&window, &mut scratch, &mut whole)
+            .expect("valid window");
+        state.reset();
+        for row in &window {
+            engine.normalize_into(row, &mut normed).expect("dims");
+            engine
+                .step_normed(&normed, &mut state, &mut scratch)
+                .expect("dims");
+        }
+        engine.finish_into(&state, &mut scratch, &mut inc).expect("dims");
+        for c in 0..config.output_dim {
+            assert_eq!(whole[c].to_bits(), reference[c].to_bits(), "predict_into ch {c}");
+            assert_eq!(inc[c].to_bits(), reference[c].to_bits(), "incremental ch {c}");
+        }
+    }
+}
