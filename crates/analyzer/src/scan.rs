@@ -21,6 +21,8 @@ use crate::lexer::{tokenize, Token};
 use crate::rules::{analyze_source, analyze_tokens, FileContext, Finding, LintProfile, RuleId};
 use crate::symbols::{CrateGraph, SymbolIndex};
 use crate::taint::{symbol_findings, Boundaries};
+use pidpiper_math::json::Json;
+use pidpiper_math::json_object;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -402,57 +404,29 @@ pub fn to_json(report: &ScanReport, scan_ms: u64) -> String {
     for f in &report.findings {
         *counts.entry(f.rule.as_str()).or_insert(0) += 1;
     }
-    let counts_json: Vec<String> = counts
-        .iter()
-        .map(|(rule, n)| format!("\"{rule}\": {n}"))
-        .collect();
-    let findings_json: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"path\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&f.path),
-                f.line,
-                f.rule.as_str(),
-                json_escape(&f.message)
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema_version\": 1,\n  \"files\": {},\n  \"suppressed\": {},\n  \
-         \"scan_ms\": {},\n  \"counts\": {{{}}},\n  \"findings\": [\n{}\n  ]\n}}\n",
-        report.files,
-        report.suppressed,
-        scan_ms,
-        counts_json.join(", "),
-        findings_json.join(",\n")
-    )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let findings = report.findings.iter().map(|f| {
+        json_object! {
+            "path" => f.path.as_str(),
+            "line" => f.line,
+            "rule" => f.rule.as_str(),
+            "message" => f.message.as_str(),
         }
-    }
-    out
+    });
+    let doc = json_object! {
+        "schema_version" => 1_u64,
+        "files" => report.files,
+        "suppressed" => report.suppressed,
+        "scan_ms" => scan_ms,
+        "counts" => Json::object(counts.into_iter().map(|(rule, n)| (rule, Json::from(n)))),
+        "findings" => Json::array(findings),
+    };
+    doc.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleId;
+    use pidpiper_math::json;
 
     #[test]
     fn classify_paths() {
@@ -531,22 +505,43 @@ impl Trace {
     }
 
     #[test]
-    fn json_report_is_escaped_and_counted() {
+    fn json_report_matches_the_golden_rendering() {
+        // Captured from the hand-written template this writer replaced.
+        let finding = |path: &str, line, rule, message: &str| Finding {
+            path: path.into(),
+            line,
+            rule,
+            message: message.into(),
+        };
         let report = ScanReport {
-            findings: vec![Finding {
-                path: "crates/a/src/lib.rs".into(),
-                line: 3,
-                rule: RuleId::Dt01WallClock,
-                message: "say \"no\" to\nwall clocks".into(),
-            }],
+            findings: vec![
+                finding(
+                    "crates/a/src/lib.rs",
+                    3,
+                    RuleId::Dt01WallClock,
+                    "say \"no\" to\nwall clocks \\ tabs\there \u{1}",
+                ),
+                finding(
+                    "crates/b/src/x.rs",
+                    40,
+                    RuleId::Pf02Expect,
+                    "`.expect(...)` in library code",
+                ),
+                finding("crates/b/src/y.rs", 7, RuleId::Dt01WallClock, "plain"),
+            ],
             suppressed: 2,
             files: 5,
         };
-        let json = to_json(&report, 42);
-        assert!(json.contains("\"schema_version\": 1"), "{json}");
-        assert!(json.contains("\"files\": 5"), "{json}");
-        assert!(json.contains("\"scan_ms\": 42"), "{json}");
-        assert!(json.contains("\"DT01\": 1"), "{json}");
-        assert!(json.contains("say \\\"no\\\" to\\nwall clocks"), "{json}");
+        let golden = include_str!("../tests/golden/report.json");
+        assert_eq!(json::minify(&to_json(&report, 42)), json::minify(golden));
+        let empty = ScanReport {
+            findings: vec![],
+            suppressed: 0,
+            files: 118,
+        };
+        assert_eq!(
+            json::minify(&to_json(&empty, 1234)),
+            r#"{"schema_version":1,"files":118,"suppressed":0,"scan_ms":1234,"counts":{},"findings":[]}"#
+        );
     }
 }

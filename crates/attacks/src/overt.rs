@@ -33,16 +33,6 @@ impl AttackKind {
         }
     }
 
-    /// Human-readable sensor name.
-    pub fn sensor_name(&self) -> &'static str {
-        match self {
-            AttackKind::GpsBias(_) => "gps",
-            AttackKind::GyroBias(_) => "gyro",
-            AttackKind::AccelBias(_) => "accel",
-            AttackKind::BaroBias(_) => "baro",
-            AttackKind::MagBias(_) => "mag",
-        }
-    }
 }
 
 /// A scheduled overt attack.

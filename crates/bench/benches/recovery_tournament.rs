@@ -1,19 +1,22 @@
 //! Runs the Algorithm-1 fingerprint regression gate, then the recovery-
-//! strategy tournament, and writes `BENCH_recovery.json`; see
-//! pidpiper_bench::exp_recovery. Set `PIDPIPER_TOURNAMENT_SMOKE=1` for
-//! the reduced CI grid (one vehicle, two cases, two missions per cell).
-//! A gate failure exits nonzero *before* any tournament flying: a
-//! strategy comparison on a diverged Algorithm 1 would be meaningless.
+//! strategy tournament, checks the report and writes
+//! `BENCH_recovery.json`; see pidpiper_bench::exp_recovery. Set
+//! `PIDPIPER_TOURNAMENT_SMOKE=1` for the reduced CI grid (one vehicle,
+//! two cases, two missions per cell). A gate failure exits nonzero
+//! *before* any tournament flying: a strategy comparison on a diverged
+//! Algorithm 1 would be meaningless. A report that fails
+//! `TournamentReport::check` exits nonzero too.
+use pidpiper_bench::exp_recovery::{self, TournamentReport};
+
 fn main() {
     let scale = pidpiper_bench::Scale::from_env();
     let smoke = std::env::var("PIDPIPER_TOURNAMENT_SMOKE").is_ok();
 
-    let gate = pidpiper_bench::exp_recovery::baseline_gate();
-    let gate_passed = gate.is_ok();
+    let gate = exp_recovery::baseline_gate();
     match &gate {
         Ok(()) => eprintln!(
             "[bench] fingerprint gate: all {} baseline cases bit-identical",
-            pidpiper_bench::exp_recovery::BASELINE_FINGERPRINTS.len()
+            exp_recovery::BASELINE_FINGERPRINTS.len()
         ),
         Err(report) => {
             eprintln!(
@@ -29,7 +32,20 @@ fn main() {
          (set PIDPIPER_SCALE=full for paper scale)",
         if smoke { " (smoke grid)" } else { "" }
     );
-    let (report, cells) = pidpiper_bench::exp_recovery::run_tournament(scale, smoke);
-    pidpiper_bench::exp_recovery::write_report(scale, smoke, gate_passed, &cells);
-    println!("{report}");
+    let (text, cells) = exp_recovery::run_tournament(scale, smoke);
+    let report = TournamentReport {
+        scale,
+        smoke,
+        gate_passed: gate.is_ok(),
+        cells,
+    };
+    if let Err(e) = report.check() {
+        eprintln!("[bench] BENCH_recovery.json report check failed: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = exp_recovery::write_report(&report) {
+        eprintln!("[bench] writing BENCH_recovery.json failed: {e}");
+        std::process::exit(1);
+    }
+    println!("{text}");
 }

@@ -1,11 +1,12 @@
 //! `pidpiper-bench-perf`: the inference hot-path benchmark with a counting
 //! global allocator.
 //!
-//! Runs [`pidpiper_bench::exp_perf`] with allocation accounting and writes
-//! `BENCH_inference.json` to the workspace root. Exits non-zero if the
-//! streaming `observe` loop performed *any* heap allocation after warm-up
-//! — the zero-allocation property is part of the engine's contract, not
-//! just a nice-to-have (CI's perf-smoke job runs this binary).
+//! Runs [`pidpiper_bench::exp_perf`] with allocation accounting, checks
+//! the report and writes `BENCH_inference.json` to the workspace root.
+//! Exits non-zero if the streaming `observe` loop performed *any* heap
+//! allocation after warm-up — the zero-allocation property is part of the
+//! engine's contract, not just a nice-to-have — or if any other report
+//! value is out of range (`PerfReport::check`).
 
 use pidpiper_bench::exp_perf;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,17 +43,8 @@ fn main() {
     let cfg = exp_perf::PerfConfig::from_env();
     let counter = || ALLOCATIONS.load(Ordering::Relaxed);
     let report = exp_perf::run_perf(&cfg, Some(&counter));
-    exp_perf::write_report(&report);
-    let per_tick = report
-        .allocations_per_tick
-        .expect("counter was supplied, so the rate was measured");
-    if per_tick > 0.0 {
-        eprintln!(
-            "FAIL: streaming observe loop allocated ({per_tick:.3} allocations/tick over {} \
-             ticks); the hot path must be allocation-free after warm-up",
-            report.ticks
-        );
-        std::process::exit(1);
-    }
+    // The counter was supplied, so the rate was measured and `check`
+    // rejects any allocation in the timed streaming loop.
+    exp_perf::check_and_write(&report);
     println!("zero-allocation assertion: OK");
 }

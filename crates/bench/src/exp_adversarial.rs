@@ -18,12 +18,15 @@
 use crate::harness::{self, Scale};
 use pidpiper_attacks::AttackPreset;
 use pidpiper_campaigns::{search_with_jobs, Campaign, SearchOutcome};
+use pidpiper_math::json::{self, Json};
+use pidpiper_math::json_object;
 use pidpiper_missions::{
     configured_jobs, Defense, MissionAttack, MissionRunner, MissionSpec, RunnerConfig,
     StrategyKind,
 };
 use pidpiper_sim::RvId;
 use std::fmt::Write as _;
+use std::io;
 
 /// The vehicles under adversarial study (the simulated fleet of Table I).
 pub const VEHICLES: [RvId; 3] = [RvId::ArduCopter, RvId::Px4Solo, RvId::ArduRover];
@@ -119,6 +122,58 @@ impl AdversarialReport {
     /// Whether every cell's recorded winner respected the stealth gate.
     pub fn stealth_respected(&self) -> bool {
         self.cells.iter().all(|c| c.outcome.winner_stealthy)
+    }
+
+    /// Checks every value the report promises: a positive search budget,
+    /// a respected stealth gate with a margin in `(0, 1]`, worker
+    /// invariance, one cell per strategy in every row, and per cell a
+    /// non-empty winning parameter vector, a non-negative deviation, a
+    /// stealthy winner's statistic under the margin, and no more
+    /// stealth rejections than evaluations.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated property.
+    pub fn check(&self) -> Result<(), String> {
+        json::require_nonzero(&[("generations", self.generations), ("lambda", self.lambda)])?;
+        if !self.stealth_respected() {
+            return Err("stealth gate not respected".into());
+        }
+        if !(self.margin > 0.0 && self.margin <= 1.0) {
+            return Err(format!("stealth margin {} outside (0, 1]", self.margin));
+        }
+        if !self.worker_invariant {
+            return Err("search diverged across worker counts".into());
+        }
+        harness::check_grid(self.cells.len())?;
+        for c in &self.cells {
+            let at = format!("cell ({}, {})", c.strategy.name(), c.vehicle);
+            let (o, best) = (&c.outcome, &c.outcome.best);
+            if o.best_params.is_empty() {
+                return Err(format!("{at}: empty winning params"));
+            }
+            if !(best.max_path_deviation.is_finite() && best.max_path_deviation >= 0.0) {
+                return Err(format!(
+                    "{at}: max_path_deviation {}",
+                    best.max_path_deviation
+                ));
+            }
+            if o.winner_stealthy
+                && !(best.peak_statistic.is_finite() && best.peak_statistic < self.margin)
+            {
+                return Err(format!(
+                    "{at}: stealthy winner's statistic {} not under margin",
+                    best.peak_statistic
+                ));
+            }
+            if o.rejected_stealth > o.evaluations {
+                return Err(format!(
+                    "{at}: {} stealth rejections of {} evaluations",
+                    o.rejected_stealth, o.evaluations
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -304,101 +359,65 @@ fn render(report: &AdversarialReport) -> String {
 
 /// `BENCH_adversarial.json` document.
 pub fn to_json(scale: Scale, report: &AdversarialReport) -> String {
-    let mut body = String::new();
-    body.push_str("{\n  \"bench\": \"adversarial_campaign\",\n");
-    let _ = writeln!(
-        body,
-        "  \"config\": {{\n    \"scale\": \"{scale:?}\",\n    \"smoke\": {},\n    \
-         \"generations\": {},\n    \"lambda\": {},\n    \"strategies\": [{}],\n    \
-         \"vehicles\": [{}]\n  }},",
-        report.smoke,
-        report.generations,
-        report.lambda,
-        StrategyKind::ALL
-            .iter()
-            .map(|s| format!("\"{}\"", s.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-        {
-            let mut names: Vec<String> =
-                report.cells.iter().map(|c| format!("\"{}\"", c.vehicle)).collect();
-            names.dedup();
-            names.join(", ")
+    let mut vehicles: Vec<String> = report.cells.iter().map(|c| c.vehicle.to_string()).collect();
+    vehicles.dedup();
+    let cells = report.cells.iter().map(|c| {
+        let (o, best) = (&c.outcome, &c.outcome.best);
+        let handwritten = c.handwritten.iter().map(|h| {
+            json_object! {
+                "case" => h.case,
+                "max_path_deviation" => Json::fixed(h.max_path_deviation, 3),
+            }
+        });
+        json_object! {
+            "strategy" => c.strategy.name(),
+            "vehicle" => c.vehicle.to_string(),
+            "campaign" => c.campaign.as_str(),
+            "winner" => json_object! {
+                "params" => Json::array(o.best_params.iter().map(|&v| Json::float(v))),
+                "params_fingerprint" => format!("{:016x}", o.params_fingerprint),
+                "trace_fingerprint" => format!("{:016x}", best.trace_fingerprint),
+                "max_path_deviation" => Json::fixed(best.max_path_deviation, 3),
+                "final_deviation" => Json::fixed(best.final_deviation, 3),
+                "peak_statistic" => Json::fixed(best.peak_statistic, 4),
+                "recovery_activations" => best.recovery_activations,
+                "stealthy" => o.winner_stealthy,
+            },
+            "handwritten" => Json::array(handwritten),
+            "handwritten_best" => Json::fixed(c.handwritten_best(), 3),
+            "beats_handwritten" => c.beats_handwritten(),
+            "evaluations" => o.evaluations,
+            "rejected_stealth" => o.rejected_stealth,
         }
-    );
-    let _ = writeln!(
-        body,
-        "  \"stealth_gate\": {{\n    \"respected\": {},\n    \"margin\": {}\n  }},",
-        report.stealth_respected(),
-        report.margin
-    );
-    let _ = writeln!(
-        body,
-        "  \"determinism\": {{\n    \"worker_invariant\": {}\n  }},",
-        report.worker_invariant
-    );
-    body.push_str("  \"cells\": [\n");
-    for (i, c) in report.cells.iter().enumerate() {
-        let params = c
-            .outcome
-            .best_params
-            .iter()
-            .map(|v| format!("{v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let handwritten = c
-            .handwritten
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"case\": \"{}\", \"max_path_deviation\": {:.3}}}",
-                    h.case, h.max_path_deviation
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            body,
-            "    {{\"strategy\": \"{}\", \"vehicle\": \"{}\", \"campaign\": \"{}\", \
-             \"winner\": {{\"params\": [{params}], \"params_fingerprint\": \"{:016x}\", \
-             \"trace_fingerprint\": \"{:016x}\", \"max_path_deviation\": {:.3}, \
-             \"final_deviation\": {:.3}, \"peak_statistic\": {:.4}, \
-             \"recovery_activations\": {}, \"stealthy\": {}}}, \
-             \"handwritten\": [{handwritten}], \"handwritten_best\": {:.3}, \
-             \"beats_handwritten\": {}, \"evaluations\": {}, \"rejected_stealth\": {}}}",
-            c.strategy.name(),
-            c.vehicle,
-            c.campaign,
-            c.outcome.params_fingerprint,
-            c.outcome.best.trace_fingerprint,
-            c.outcome.best.max_path_deviation,
-            c.outcome.best.final_deviation,
-            c.outcome.best.peak_statistic,
-            c.outcome.best.recovery_activations,
-            c.outcome.winner_stealthy,
-            c.handwritten_best(),
-            c.beats_handwritten(),
-            c.outcome.evaluations,
-            c.outcome.rejected_stealth,
-        );
-        body.push_str(if i + 1 == report.cells.len() { "\n" } else { ",\n" });
-    }
-    body.push_str("  ]\n}\n");
-    body
+    });
+    let doc = json_object! {
+        "bench" => "adversarial_campaign",
+        "config" => json_object! {
+            "scale" => format!("{scale:?}"),
+            "smoke" => report.smoke,
+            "generations" => report.generations,
+            "lambda" => report.lambda,
+            "strategies" => Json::array(StrategyKind::ALL.map(|s| s.name())),
+            "vehicles" => Json::array(vehicles),
+        },
+        "stealth_gate" => json_object! {
+            "respected" => report.stealth_respected(),
+            "margin" => Json::float(report.margin),
+        },
+        "determinism" => json_object! { "worker_invariant" => report.worker_invariant },
+        "cells" => Json::array(cells),
+    };
+    doc.render()
 }
 
 /// Writes `BENCH_adversarial.json` to the workspace root and mirrors it
 /// into `target/experiments/`.
-pub fn write_report(scale: Scale, report: &AdversarialReport) {
-    let body = to_json(scale, report);
-    for path in [
-        harness::workspace_root().join("BENCH_adversarial.json"),
-        harness::experiments_dir().join("BENCH_adversarial.json"),
-    ] {
-        if let Err(e) = std::fs::write(&path, &body) {
-            eprintln!("warning: failed to write {}: {e}", path.display());
-        }
-    }
+///
+/// # Errors
+///
+/// Returns the I/O error of a failed write.
+pub fn write_report(scale: Scale, report: &AdversarialReport) -> io::Result<()> {
+    json::write_bench_report("BENCH_adversarial.json", &to_json(scale, report))
 }
 
 #[cfg(test)]
@@ -422,51 +441,107 @@ mod tests {
         assert_eq!(c.search.lambda, 2);
     }
 
-    #[test]
-    fn json_schema_smoke() {
-        use pidpiper_campaigns::{CandidateEval, SearchOutcome};
-        let outcome = SearchOutcome {
-            best_params: vec![10.0, 2.0, 12.0, 6.0, 0.01],
-            best: CandidateEval {
-                max_path_deviation: 9.5,
-                final_deviation: 4.0,
-                peak_statistic: 0.4,
-                recovery_activations: 0,
-                trace_fingerprint: 0xdead,
+    /// A fixed report whose rendering was captured from the hand-written
+    /// template this writer replaced.
+    fn fixed_report() -> AdversarialReport {
+        use pidpiper_campaigns::CandidateEval;
+        let cell = |strategy, vehicle, trace_fingerprint, max_path_deviation| AdversarialCell {
+            strategy,
+            vehicle,
+            campaign: "stealth-drift-arducopter".into(),
+            outcome: SearchOutcome {
+                best_params: vec![10.0, 2.5, 12.125, 0.003],
+                best: CandidateEval {
+                    max_path_deviation,
+                    final_deviation: 4.0004,
+                    peak_statistic: 0.41237,
+                    recovery_activations: 0,
+                    trace_fingerprint,
+                },
+                winner_stealthy: true,
+                params_fingerprint: 0xbeef,
+                evaluations: 26,
+                rejected_stealth: 3,
+                stealth_margin: 0.95,
             },
-            winner_stealthy: true,
-            params_fingerprint: 0xbeef,
-            evaluations: 26,
-            rejected_stealth: 3,
-            stealth_margin: 0.95,
-        };
-        let report = AdversarialReport {
-            cells: vec![AdversarialCell {
-                strategy: StrategyKind::Algorithm1,
-                vehicle: RvId::ArduCopter,
-                campaign: "stealth-drift-arducopter".into(),
-                outcome,
-                handwritten: vec![HandwrittenCase {
-                    case: "gps-overt",
+            handwritten: vec![
+                HandwrittenCase {
+                    case: "gyro-overt",
                     max_path_deviation: 3.2,
-                }],
-            }],
+                },
+                HandwrittenCase {
+                    case: "gps-overt",
+                    max_path_deviation: 12.34567,
+                },
+            ],
+        };
+        AdversarialReport {
+            cells: vec![
+                cell(StrategyKind::Algorithm1, RvId::ArduCopter, 0xdead, 28.5),
+                cell(
+                    StrategyKind::SpecCompliance,
+                    RvId::ArduCopter,
+                    0x0123_4567_89ab_cdef,
+                    9.5,
+                ),
+                cell(StrategyKind::DiagnosisGuided, RvId::Px4Solo, u64::MAX, 30.0),
+            ],
             worker_invariant: true,
             margin: 0.95,
-            generations: 5,
-            lambda: 5,
+            generations: 6,
+            lambda: 6,
             smoke: false,
-        };
-        let json = to_json(Scale::Quick, &report);
-        for needle in [
-            "\"bench\": \"adversarial_campaign\"",
-            "\"stealth_gate\"",
-            "\"respected\": true",
-            "\"worker_invariant\": true",
-            "\"beats_handwritten\": true",
-            "\"params_fingerprint\": \"000000000000beef\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
+        }
+    }
+
+    #[test]
+    fn json_matches_the_golden_rendering() {
+        let golden = include_str!("../tests/golden/BENCH_adversarial.json");
+        // The captured report had a non-stealthy middle winner.
+        let mut report = fixed_report();
+        report.cells[1].outcome.winner_stealthy = false;
+        assert_eq!(
+            json::minify(&to_json(Scale::Full, &report)),
+            json::minify(golden)
+        );
+    }
+
+    #[test]
+    fn check_rejects_each_violated_property() {
+        assert_eq!(fixed_report().check(), Ok(()));
+        type Breaker = fn(&mut AdversarialReport);
+        let cases: [(&str, Breaker); 12] = [
+            ("generations is 0", |r| r.generations = 0),
+            ("lambda is 0", |r| r.lambda = 0),
+            ("stealth gate not respected", |r| {
+                r.cells[1].outcome.winner_stealthy = false
+            }),
+            ("stealth margin", |r| r.margin = 0.0),
+            ("stealth margin", |r| r.margin = 1.5),
+            ("worker counts", |r| r.worker_invariant = false),
+            ("multiple of 3 strategies", |r| r.cells.truncate(2)),
+            ("multiple of 3 strategies", |r| r.cells.clear()),
+            ("empty winning params", |r| {
+                r.cells[0].outcome.best_params.clear()
+            }),
+            ("max_path_deviation", |r| {
+                r.cells[2].outcome.best.max_path_deviation = -1.0
+            }),
+            ("not under margin", |r| {
+                r.cells[0].outcome.best.peak_statistic = 0.95
+            }),
+            ("stealth rejections", |r| {
+                r.cells[0].outcome.rejected_stealth = 27
+            }),
+        ];
+        for (want, breaker) in cases {
+            let mut r = fixed_report();
+            breaker(&mut r);
+            assert!(
+                r.check().is_err_and(|e| e.contains(want)),
+                "{want}: {:?}",
+                r.check()
+            );
         }
     }
 }

@@ -24,25 +24,23 @@
 //! the same states and rows. Before each point is timed, both paths run
 //! the same ticks and every output **and** every LSTM state is compared
 //! with `f64::to_bits` — a divergence panics (nonzero exit from the
-//! binary), so a non-identical kernel can never report a speedup. The
-//! opt-in `f32` mode is timed too, with its measured max-abs error
-//! recorded next to the number it buys.
+//! binary), so a non-identical kernel can never report a speedup.
 
-use crate::harness::{experiments_dir, workspace_root};
 use criterion::{black_box, Criterion};
 use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_core::features::{assemble, FeatureSet, SensorPrimitives};
 use pidpiper_core::ffc::PipelineConfig;
 use pidpiper_core::FfcModel;
+use pidpiper_math::json::{self, Json};
+use pidpiper_math::json_object;
 use pidpiper_math::Vec3;
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
-    BatchPrecision, BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState,
-    StreamingRegressor,
+    BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState, StreamingRegressor,
 };
 use pidpiper_sensors::{EstimatedState, SensorReadings};
 use std::collections::VecDeque;
-use std::fs;
+use std::io;
 use std::time::Instant;
 
 /// Benchmark configuration.
@@ -117,7 +115,7 @@ pub struct BatchPoint {
 }
 
 /// The `batched` section of [`PerfReport`]: fleet GEMM kernels vs the
-/// per-session streaming loop, plus the opt-in `f32` mode.
+/// per-session streaming loop.
 #[derive(Debug, Clone)]
 pub struct BatchedPerf {
     /// Per-session streaming loop cost, ns per vehicle-tick.
@@ -125,16 +123,11 @@ pub struct BatchedPerf {
     /// Measured points at batch sizes 1 / 16 / 64 / 256, each gated on
     /// `to_bits` equality of outputs and states before timing.
     pub points: Vec<BatchPoint>,
-    /// `f32` mode at batch 64, ns per vehicle-tick.
-    pub f32_ns_per_vehicle_tick: f64,
-    /// Measured max-abs output error of the `f32` mode vs the exact path
-    /// over the gate ticks.
-    pub f32_max_abs_error: f64,
 }
 
 /// Batch sizes the batched section measures.
 const BATCH_POINTS: [usize; 4] = [1, 16, 64, 256];
-/// Lanes in the per-session scalar baseline loop (and the `f32` point).
+/// Lanes in the per-session scalar baseline loop.
 const SCALAR_LANES: usize = 64;
 /// Pre-normalized input rows cycled through the timed loops (prime, so
 /// lanes decorrelate without allocating per tick).
@@ -275,8 +268,8 @@ fn assert_batched_agrees(
     }
 }
 
-/// Runs the batched section: equality gates, scalar baseline, the four
-/// batch points, and the `f32` mode with its measured error envelope.
+/// Runs the batched section: equality gates, scalar baseline and the four
+/// batch points.
 fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     let set = FeatureSet::FfcPruned;
     let config = RegressorConfig::standard(set.dim(), ActuatorSignal::DIM);
@@ -316,65 +309,9 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
         });
     }
 
-    // f32 mode at SCALAR_LANES: measured error envelope first, then timed.
-    // The f32 state lives only in the scratch panels (a throughput
-    // experiment, not a checkpointed session), so both twins start from
-    // reset states and evolve over the same rows.
-    let fast = BatchedStreamingRegressor::with_precision(&engine, BatchPrecision::F32);
-    let (pool, _) = batch_fixture(&engine, SCALAR_LANES);
-    let mut scratch = fast.scratch(SCALAR_LANES);
-    let mut exact_scratch = batched.scratch(SCALAR_LANES);
-    let mut exact_states: Vec<StreamState> =
-        (0..SCALAR_LANES).map(|_| engine.state()).collect();
-    let mut exact_out = vec![0.0; SCALAR_LANES * odim];
-    let mut f32_out = vec![0.0; SCALAR_LANES * odim];
-    let mut max_err = 0.0f64;
-    scratch.reset_states();
-    for t in 0..GATE_TICKS {
-        for lane in 0..SCALAR_LANES {
-            scratch.load_row_f32(lane, &pool[(t + lane) % ROW_POOL]);
-        }
-        fast.step_batch_f32(&mut scratch, SCALAR_LANES);
-        fast.finish_batch_f32(&mut scratch, SCALAR_LANES);
-        for lane in 0..SCALAR_LANES {
-            scratch.read_output(lane, &mut f32_out[lane * odim..(lane + 1) * odim]);
-        }
-        batched_ticks(
-            &batched,
-            &mut exact_scratch,
-            &pool,
-            &mut exact_states,
-            &mut exact_out,
-            t,
-            1,
-        );
-        for (a, b) in f32_out.iter().zip(&exact_out) {
-            max_err = max_err.max((a - b).abs());
-        }
-    }
-    let mut f32_ticks = |scratch: &mut pidpiper_ml::BatchScratch, n_ticks: usize| {
-        for t in 0..n_ticks {
-            for lane in 0..SCALAR_LANES {
-                scratch.load_row_f32(lane, &pool[(t + lane) % ROW_POOL]);
-            }
-            fast.step_batch_f32(scratch, SCALAR_LANES);
-            fast.finish_batch_f32(scratch, SCALAR_LANES);
-            for lane in 0..SCALAR_LANES {
-                scratch.read_output(lane, &mut f32_out[lane * odim..(lane + 1) * odim]);
-            }
-            black_box(&mut f32_out);
-        }
-    };
-    f32_ticks(&mut scratch, cfg.warmup.max(1));
-    let t0 = Instant::now();
-    f32_ticks(&mut scratch, ticks);
-    let f32_ns = t0.elapsed().as_nanos() as f64 / (ticks * SCALAR_LANES) as f64;
-
     BatchedPerf {
         scalar_ns_per_vehicle_tick: scalar_ns,
         points,
-        f32_ns_per_vehicle_tick: f32_ns,
-        f32_max_abs_error: max_err,
     }
 }
 
@@ -545,93 +482,97 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
     }
 }
 
-/// Renders the report as the `BENCH_inference.json` document.
-pub fn to_json(r: &PerfReport) -> String {
-    let allocs = match r.allocations_per_tick {
-        Some(a) => format!("{a:.3}"),
-        None => "null".to_string(),
-    };
-    let points = r
-        .batched
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "      {{\n",
-                    "        \"batch\": {batch},\n",
-                    "        \"ns_per_vehicle_tick\": {ns:.1},\n",
-                    "        \"speedup_vs_streaming\": {speedup:.2}\n",
-                    "      }}"
-                ),
-                batch = p.batch,
-                ns = p.ns_per_vehicle_tick,
-                speedup = p.speedup_vs_streaming,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"inference_hot_path\",\n",
-            "  \"config\": {{\n",
-            "    \"input_dim\": {input_dim},\n",
-            "    \"output_dim\": {output_dim},\n",
-            "    \"hidden\": {hidden},\n",
-            "    \"fc_width\": {fc_width},\n",
-            "    \"window\": {window},\n",
-            "    \"decimate\": {decimate},\n",
-            "    \"ticks\": {ticks}\n",
-            "  }},\n",
-            "  \"ns_per_iter\": {ns:.1},\n",
-            "  \"baseline_ns_per_iter\": {base:.1},\n",
-            "  \"ticks_per_sec\": {tps:.1},\n",
-            "  \"speedup_vs_baseline\": {speedup:.2},\n",
-            "  \"allocations_per_tick\": {allocs},\n",
-            "  \"batched\": {{\n",
-            "    \"scalar_ns_per_vehicle_tick\": {scalar_ns:.1},\n",
-            "    \"points\": [\n{points}\n    ],\n",
-            "    \"f32\": {{\n",
-            "      \"batch\": {f32_batch},\n",
-            "      \"ns_per_vehicle_tick\": {f32_ns:.1},\n",
-            "      \"max_abs_error\": {f32_err:e}\n",
-            "    }}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        input_dim = r.config.input_dim,
-        output_dim = r.config.output_dim,
-        hidden = r.config.hidden,
-        fc_width = r.config.fc_width,
-        window = r.config.window,
-        decimate = r.decimate,
-        ticks = r.ticks,
-        ns = r.ns_per_iter,
-        base = r.baseline_ns_per_iter,
-        tps = r.ticks_per_sec,
-        speedup = r.speedup_vs_baseline,
-        allocs = allocs,
-        scalar_ns = r.batched.scalar_ns_per_vehicle_tick,
-        points = points,
-        f32_batch = SCALAR_LANES,
-        f32_ns = r.batched.f32_ns_per_vehicle_tick,
-        f32_err = r.batched.f32_max_abs_error,
-    )
+impl PerfReport {
+    /// Checks every value the report promises: positive shape and tick
+    /// counts, positive finite latencies and ratios, no measured
+    /// allocation in the streaming loop, and the four batch points in
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated property.
+    pub fn check(&self) -> Result<(), String> {
+        let c = &self.config;
+        json::require_nonzero(&[
+            ("input_dim", c.input_dim),
+            ("output_dim", c.output_dim),
+            ("hidden", c.hidden),
+            ("fc_width", c.fc_width),
+            ("window", c.window),
+            ("decimate", self.decimate),
+            ("ticks", self.ticks),
+        ])?;
+        json::require_positive(&[
+            ("ns_per_iter", self.ns_per_iter),
+            ("baseline_ns_per_iter", self.baseline_ns_per_iter),
+            ("ticks_per_sec", self.ticks_per_sec),
+            ("speedup_vs_baseline", self.speedup_vs_baseline),
+            (
+                "scalar_ns_per_vehicle_tick",
+                self.batched.scalar_ns_per_vehicle_tick,
+            ),
+        ])?;
+        for p in &self.batched.points {
+            json::require_positive(&[
+                ("point ns_per_vehicle_tick", p.ns_per_vehicle_tick),
+                ("point speedup_vs_streaming", p.speedup_vs_streaming),
+            ])?;
+        }
+        if let Some(a) = self.allocations_per_tick.filter(|&a| a > 0.0) {
+            return Err(format!("allocations_per_tick is {a}, expected 0"));
+        }
+        let batches: Vec<usize> = self.batched.points.iter().map(|p| p.batch).collect();
+        if batches != BATCH_POINTS {
+            return Err(format!(
+                "batch points {batches:?}, expected {BATCH_POINTS:?}"
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// Writes `BENCH_inference.json` to the workspace root and mirrors it into
-/// `target/experiments/`.
-pub fn write_report(r: &PerfReport) {
-    let body = to_json(r);
-    for path in [
-        workspace_root().join("BENCH_inference.json"),
-        experiments_dir().join("BENCH_inference.json"),
-    ] {
-        if let Err(e) = fs::write(&path, &body) {
-            eprintln!("warning: failed to write {}: {e}", path.display());
+/// Renders the report as the `BENCH_inference.json` document.
+pub fn to_json(r: &PerfReport) -> String {
+    let c = &r.config;
+    let points = r.batched.points.iter().map(|p| {
+        json_object! {
+            "batch" => p.batch,
+            "ns_per_vehicle_tick" => Json::fixed(p.ns_per_vehicle_tick, 1),
+            "speedup_vs_streaming" => Json::fixed(p.speedup_vs_streaming, 2),
         }
-    }
+    });
+    let doc = json_object! {
+        "bench" => "inference_hot_path",
+        "config" => json_object! {
+            "input_dim" => c.input_dim,
+            "output_dim" => c.output_dim,
+            "hidden" => c.hidden,
+            "fc_width" => c.fc_width,
+            "window" => c.window,
+            "decimate" => r.decimate,
+            "ticks" => r.ticks,
+        },
+        "ns_per_iter" => Json::fixed(r.ns_per_iter, 1),
+        "baseline_ns_per_iter" => Json::fixed(r.baseline_ns_per_iter, 1),
+        "ticks_per_sec" => Json::fixed(r.ticks_per_sec, 1),
+        "speedup_vs_baseline" => Json::fixed(r.speedup_vs_baseline, 2),
+        "allocations_per_tick" => r.allocations_per_tick.map(|a| Json::fixed(a, 3)),
+        "batched" => json_object! {
+            "scalar_ns_per_vehicle_tick" => Json::fixed(r.batched.scalar_ns_per_vehicle_tick, 1),
+            "points" => Json::array(points),
+        },
+    };
+    doc.render()
+}
+
+/// Writes `BENCH_inference.json` to the workspace root, mirrors it into
+/// `target/experiments/`, and prints a summary.
+///
+/// # Errors
+///
+/// Returns the I/O error of a failed write.
+pub fn write_report(r: &PerfReport) -> io::Result<()> {
+    json::write_bench_report("BENCH_inference.json", &to_json(r))?;
     println!(
         "exp_perf: streaming {:.0} ns/tick ({:.0} ticks/s), seed {:.0} ns/tick — {:.2}x; \
          allocations/tick: {}",
@@ -653,10 +594,20 @@ pub fn write_report(r: &PerfReport) {
             r.batched.scalar_ns_per_vehicle_tick,
         );
     }
-    println!(
-        "exp_perf[f32 batch {}]: {:.0} ns/vehicle-tick, max abs error {:.3e}",
-        SCALAR_LANES, r.batched.f32_ns_per_vehicle_tick, r.batched.f32_max_abs_error,
-    );
+    Ok(())
+}
+
+/// Checks `report` and writes it, exiting the process nonzero if the
+/// check fails or the report cannot be written.
+pub fn check_and_write(report: &PerfReport) {
+    if let Err(e) = report.check() {
+        eprintln!("FAIL: BENCH_inference.json report check: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = write_report(report) {
+        eprintln!("FAIL: writing BENCH_inference.json: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Criterion-shim entry: per-tick latency of both paths as named benches,
@@ -680,7 +631,7 @@ pub fn bench(c: &mut Criterion) {
             black_box(streaming.observe(&prims[j], &target, phase))
         })
     });
-    write_report(&run_perf(&cfg, None));
+    check_and_write(&run_perf(&cfg, None));
 }
 
 #[cfg(test)]
@@ -695,29 +646,93 @@ mod tests {
             seed: 3,
         };
         let r = run_perf(&cfg, None);
-        assert!(r.ns_per_iter > 0.0);
-        assert!(r.baseline_ns_per_iter > 0.0);
-        assert!(r.ticks_per_sec > 0.0);
-        assert!(r.speedup_vs_baseline > 0.0);
         assert!(r.allocations_per_tick.is_none());
-        // The batched section measured every point through its gate.
-        assert_eq!(r.batched.points.len(), BATCH_POINTS.len());
-        for (p, want) in r.batched.points.iter().zip(BATCH_POINTS) {
-            assert_eq!(p.batch, want);
-            assert!(p.ns_per_vehicle_tick > 0.0);
-            assert!(p.speedup_vs_streaming > 0.0);
+        assert_eq!(r.check(), Ok(()));
+    }
+
+    /// A fixed report whose rendering was captured from the hand-written
+    /// template this writer replaced.
+    fn fixed_report() -> PerfReport {
+        let point = |batch, ns_per_vehicle_tick, speedup_vs_streaming| BatchPoint {
+            batch,
+            ns_per_vehicle_tick,
+            speedup_vs_streaming,
+        };
+        PerfReport {
+            config: RegressorConfig {
+                input_dim: 13,
+                output_dim: 4,
+                hidden: 24,
+                fc_width: 32,
+                window: 20,
+            },
+            decimate: 5,
+            ticks: 2000,
+            ns_per_iter: 512.345,
+            baseline_ns_per_iter: 10250.96,
+            ticks_per_sec: 1951814.25,
+            speedup_vs_baseline: 20.0078,
+            allocations_per_tick: Some(0.0),
+            batched: BatchedPerf {
+                scalar_ns_per_vehicle_tick: 3100.44,
+                points: vec![
+                    point(1, 3400.06, 0.912),
+                    point(16, 1200.5, 2.5837),
+                    point(64, 950.25, 3.2627),
+                    point(256, 1010.0, 3.0697),
+                ],
+            },
         }
-        assert!(r.batched.scalar_ns_per_vehicle_tick > 0.0);
-        assert!(r.batched.f32_ns_per_vehicle_tick > 0.0);
-        assert!(r.batched.f32_max_abs_error.is_finite());
-        let json = to_json(&r);
-        assert!(json.contains("\"bench\": \"inference_hot_path\""));
-        assert!(json.contains("\"speedup_vs_baseline\""));
-        assert!(json.contains("\"allocations_per_tick\": null"));
-        assert!(json.contains("\"batched\": {"));
-        assert!(json.contains("\"scalar_ns_per_vehicle_tick\""));
-        assert!(json.contains("\"batch\": 256"));
-        assert!(json.contains("\"max_abs_error\""));
+    }
+
+    #[test]
+    fn json_matches_the_golden_rendering() {
+        // Captured with the `f32` block, which was then cut from the file
+        // by hand; every other byte is as captured.
+        let golden = json::minify(include_str!("../tests/golden/BENCH_inference.json"));
+        let mut r = fixed_report();
+        assert_eq!(json::minify(&to_json(&r)), golden);
+        r.allocations_per_tick = None;
+        let unmeasured = golden.replace(
+            r#""allocations_per_tick":0.000"#,
+            r#""allocations_per_tick":null"#,
+        );
+        assert_eq!(json::minify(&to_json(&r)), unmeasured);
+    }
+
+    #[test]
+    fn check_rejects_each_violated_property() {
+        assert_eq!(fixed_report().check(), Ok(()));
+        type Breaker = fn(&mut PerfReport);
+        let cases: [(&str, Breaker); 10] = [
+            ("hidden is 0", |r| r.config.hidden = 0),
+            ("ticks is 0", |r| r.ticks = 0),
+            ("ns_per_iter", |r| r.ns_per_iter = 0.0),
+            ("speedup_vs_baseline", |r| r.speedup_vs_baseline = f64::NAN),
+            ("scalar_ns_per_vehicle_tick", |r| {
+                r.batched.scalar_ns_per_vehicle_tick = -1.0
+            }),
+            ("point ns_per_vehicle_tick", |r| {
+                r.batched.points[2].ns_per_vehicle_tick = 0.0
+            }),
+            ("point speedup_vs_streaming", |r| {
+                r.batched.points[0].speedup_vs_streaming = f64::INFINITY
+            }),
+            ("allocations_per_tick", |r| {
+                r.allocations_per_tick = Some(0.001)
+            }),
+            ("batch points", |r| r.batched.points[3].batch = 128),
+            ("batch points", |r| r.batched.points.truncate(3)),
+        ];
+        for (want, breaker) in cases {
+            let mut r = fixed_report();
+            breaker(&mut r);
+            assert!(
+                r.check().is_err_and(|e| e.contains(want)),
+                "{want}: {:?}",
+                r.check()
+            );
+        }
     }
 
     #[test]

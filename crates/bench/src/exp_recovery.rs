@@ -12,12 +12,15 @@ use pidpiper_attacks::AttackPreset;
 use pidpiper_core::ffc::PipelineConfig;
 use pidpiper_core::{AxisThresholds, FeatureSet, FfcModel, PidPiper, PidPiperConfig};
 use pidpiper_faults::{Fault, FaultKind, FaultSchedule};
+use pidpiper_math::json::{self, Json};
+use pidpiper_math::json_object;
 use pidpiper_missions::{
     MissionAttack, MissionPlan, MissionRunner, MissionSpec, RunnerConfig, StrategyKind,
 };
 use pidpiper_ml::{LstmRegressor, RegressorConfig};
 use pidpiper_sim::{RvId, VehicleKind};
 use std::fmt::Write as _;
+use std::io;
 
 /// Seed base for the regression-gate missions (fixed forever: changing it
 /// invalidates [`BASELINE_FINGERPRINTS`]).
@@ -393,71 +396,108 @@ pub fn run_tournament(scale: Scale, smoke: bool) -> (String, Vec<TournamentCell>
     (out, cells)
 }
 
+/// The `BENCH_recovery.json` document: the tournament cells plus the
+/// regression-gate verdict.
+#[derive(Debug, Clone)]
+pub struct TournamentReport {
+    /// The experiment scale the tournament ran at.
+    pub scale: Scale,
+    /// Whether the reduced smoke grid ran.
+    pub smoke: bool,
+    /// Whether [`baseline_gate`] passed before the tournament flew.
+    pub gate_passed: bool,
+    /// Every `strategy x case x vehicle` cell.
+    pub cells: Vec<TournamentCell>,
+}
+
+impl TournamentReport {
+    /// Checks every value the report promises: a passed fingerprint
+    /// gate, a non-empty grid with one cell per strategy in every row,
+    /// and per cell a positive mission count, a survival rate within
+    /// 0–100 %, non-negative deviation and time-to-recover, and no more
+    /// degraded missions than missions.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated property.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.gate_passed {
+            return Err("fingerprint gate did not pass".into());
+        }
+        harness::check_grid(self.cells.len())?;
+        for c in &self.cells {
+            let at = format!("cell ({}, {}, {})", c.strategy.name(), c.vehicle, c.case);
+            if c.missions == 0 {
+                return Err(format!("{at}: no missions"));
+            }
+            if !(0.0..=100.0).contains(&c.survival_rate()) {
+                return Err(format!(
+                    "{at}: survival rate {} outside 0..=100",
+                    c.survival_rate()
+                ));
+            }
+            for (key, v) in [
+                ("mean_deviation", c.mean_deviation),
+                ("time_to_recover_s", c.time_to_recover_s),
+            ] {
+                if let Some(v) = v.filter(|v| !(v.is_finite() && *v >= 0.0)) {
+                    return Err(format!("{at}: {key} is {v}, expected >= 0"));
+                }
+            }
+            if c.degraded > c.missions {
+                return Err(format!(
+                    "{at}: {} degraded of {} missions",
+                    c.degraded, c.missions
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The fingerprint gate pins at least five missions (clean, two faults,
+/// an overt attack, a timing fault).
+const _: () = assert!(BASELINE_FINGERPRINTS.len() >= 5);
+
 /// Renders the tournament (and the regression-gate verdict) as the
 /// `BENCH_recovery.json` document.
-pub fn to_json(
-    scale: Scale,
-    smoke: bool,
-    gate_passed: bool,
-    cells: &[TournamentCell],
-) -> String {
-    let mut body = String::new();
-    body.push_str("{\n  \"bench\": \"recovery_tournament\",\n");
-    let _ = writeln!(
-        body,
-        "  \"config\": {{\n    \"scale\": \"{scale:?}\",\n    \"smoke\": {smoke},\n    \
-         \"strategies\": [{}]\n  }},",
-        StrategyKind::ALL
-            .iter()
-            .map(|s| format!("\"{}\"", s.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        body,
-        "  \"fingerprint_gate\": {{\n    \"passed\": {gate_passed},\n    \"cases\": {}\n  }},",
-        BASELINE_FINGERPRINTS.len()
-    );
-    body.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let dev = c
-            .mean_deviation
-            .map(|d| format!("{d:.2}"))
-            .unwrap_or_else(|| "null".into());
-        let ttr = c
-            .time_to_recover_s
-            .map(|t| format!("{t:.3}"))
-            .unwrap_or_else(|| "null".into());
-        let _ = write!(
-            body,
-            "    {{\"strategy\": \"{}\", \"vehicle\": \"{}\", \"case\": \"{}\", \
-             \"missions\": {}, \"survival_rate\": {:.1}, \"mean_deviation\": {dev}, \
-             \"time_to_recover_s\": {ttr}, \"degraded\": {}}}",
-            c.strategy.name(),
-            c.vehicle,
-            c.case,
-            c.missions,
-            c.survival_rate(),
-            c.degraded,
-        );
-        body.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
-    }
-    body.push_str("  ]\n}\n");
-    body
+pub fn to_json(r: &TournamentReport) -> String {
+    let cells = r.cells.iter().map(|c| {
+        json_object! {
+            "strategy" => c.strategy.name(),
+            "vehicle" => c.vehicle.to_string(),
+            "case" => c.case,
+            "missions" => c.missions,
+            "survival_rate" => Json::fixed(c.survival_rate(), 1),
+            "mean_deviation" => c.mean_deviation.map(|d| Json::fixed(d, 2)),
+            "time_to_recover_s" => c.time_to_recover_s.map(|t| Json::fixed(t, 3)),
+            "degraded" => c.degraded,
+        }
+    });
+    let doc = json_object! {
+        "bench" => "recovery_tournament",
+        "config" => json_object! {
+            "scale" => format!("{:?}", r.scale),
+            "smoke" => r.smoke,
+            "strategies" => Json::array(StrategyKind::ALL.map(|s| s.name())),
+        },
+        "fingerprint_gate" => json_object! {
+            "passed" => r.gate_passed,
+            "cases" => BASELINE_FINGERPRINTS.len(),
+        },
+        "cells" => Json::array(cells),
+    };
+    doc.render()
 }
 
 /// Writes `BENCH_recovery.json` to the workspace root and mirrors it into
 /// `target/experiments/`.
-pub fn write_report(scale: Scale, smoke: bool, gate_passed: bool, cells: &[TournamentCell]) {
-    let body = to_json(scale, smoke, gate_passed, cells);
-    for path in [
-        harness::workspace_root().join("BENCH_recovery.json"),
-        harness::experiments_dir().join("BENCH_recovery.json"),
-    ] {
-        if let Err(e) = std::fs::write(&path, &body) {
-            eprintln!("warning: failed to write {}: {e}", path.display());
-        }
-    }
+///
+/// # Errors
+///
+/// Returns the I/O error of a failed write.
+pub fn write_report(r: &TournamentReport) -> io::Result<()> {
+    json::write_bench_report("BENCH_recovery.json", &to_json(r))
 }
 
 #[cfg(test)]
@@ -471,46 +511,104 @@ mod tests {
         }
     }
 
+    /// A fixed report whose rendering was captured from the hand-written
+    /// template this writer replaced.
+    fn fixed_report() -> TournamentReport {
+        let cell = |strategy,
+                    vehicle,
+                    case,
+                    missions,
+                    survived,
+                    degraded,
+                    mean_deviation,
+                    time_to_recover_s| {
+            TournamentCell {
+                strategy,
+                vehicle,
+                case,
+                missions,
+                survived,
+                degraded,
+                mean_deviation,
+                time_to_recover_s,
+            }
+        };
+        use StrategyKind::*;
+        TournamentReport {
+            scale: Scale::Quick,
+            smoke: true,
+            gate_passed: true,
+            cells: vec![
+                cell(
+                    Algorithm1,
+                    RvId::ArduCopter,
+                    "gps dropout 4s",
+                    3,
+                    2,
+                    1,
+                    Some(3.256),
+                    Some(1.5004),
+                ),
+                cell(
+                    SpecCompliance,
+                    RvId::ArduRover,
+                    "gps overt attack",
+                    4,
+                    0,
+                    0,
+                    None,
+                    None,
+                ),
+                cell(
+                    DiagnosisGuided,
+                    RvId::Px4Solo,
+                    "nan burst",
+                    4,
+                    3,
+                    0,
+                    Some(0.0),
+                    None,
+                ),
+            ],
+        }
+    }
+
     #[test]
-    fn tournament_json_is_well_formed_and_null_safe() {
-        let cells = vec![
-            TournamentCell {
-                strategy: StrategyKind::Algorithm1,
-                vehicle: RvId::ArduCopter,
-                case: "gps dropout 4s",
-                missions: 2,
-                survived: 2,
-                degraded: 0,
-                mean_deviation: Some(3.25),
-                time_to_recover_s: Some(1.5),
-            },
-            TournamentCell {
-                strategy: StrategyKind::DiagnosisGuided,
-                vehicle: RvId::ArduCopter,
-                case: "gps overt attack",
-                missions: 2,
-                survived: 0,
-                degraded: 0,
-                mean_deviation: None,
-                time_to_recover_s: None,
-            },
+    fn json_matches_the_golden_rendering() {
+        let golden = include_str!("../tests/golden/BENCH_recovery.json");
+        assert_eq!(
+            json::minify(&to_json(&fixed_report())),
+            json::minify(golden)
+        );
+    }
+
+    #[test]
+    fn check_rejects_each_violated_property() {
+        assert_eq!(fixed_report().check(), Ok(()));
+        type Breaker = fn(&mut TournamentReport);
+        let cases: [(&str, Breaker); 9] = [
+            ("fingerprint gate", |r| r.gate_passed = false),
+            ("multiple of 3 strategies", |r| r.cells.clear()),
+            ("multiple of 3 strategies", |r| r.cells.truncate(2)),
+            ("no missions", |r| r.cells[1].missions = 0),
+            ("survival rate", |r| r.cells[0].survived = 4),
+            ("mean_deviation", |r| r.cells[0].mean_deviation = Some(-0.5)),
+            ("mean_deviation", |r| {
+                r.cells[2].mean_deviation = Some(f64::NAN)
+            }),
+            ("time_to_recover_s", |r| {
+                r.cells[0].time_to_recover_s = Some(-1.0)
+            }),
+            ("degraded of", |r| r.cells[0].degraded = 4),
         ];
-        let json = to_json(Scale::Quick, true, true, &cells);
-        assert!(json.contains("\"bench\": \"recovery_tournament\""));
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"mean_deviation\": null"));
-        assert!(json.contains("\"survival_rate\": 100.0"));
-        // Balanced braces/brackets (the writer is hand-rolled).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
-        assert!(json.trim_end().ends_with('}'));
+        for (want, breaker) in cases {
+            let mut r = fixed_report();
+            breaker(&mut r);
+            assert!(
+                r.check().is_err_and(|e| e.contains(want)),
+                "{want}: {:?}",
+                r.check()
+            );
+        }
     }
 }

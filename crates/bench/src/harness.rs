@@ -3,6 +3,7 @@
 
 use pidpiper_control::PositionGains;
 use pidpiper_core::{artifact, PidPiper, Trainer, TrainerConfig};
+use pidpiper_math::json::workspace_root;
 use pidpiper_baselines::ci::CiConfig;
 use pidpiper_baselines::savior::SaviorConfig;
 use pidpiper_baselines::srr::SrrConfig;
@@ -88,20 +89,26 @@ pub fn collect_traces(rv: RvId, scale: Scale) -> Vec<Trace> {
         .collect()
 }
 
-/// The workspace root (bench executables run with the package directory
-/// as their cwd, so relative paths would land under `crates/bench/`).
-pub fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has a workspace root")
-        .to_path_buf()
-}
-
 fn cache_dir() -> PathBuf {
     let dir = workspace_root().join("target/pidpiper-cache");
     let _ = fs::create_dir_all(&dir);
     dir
+}
+
+/// Report checks for a `strategy x ...` grid: `cells` must be a positive
+/// multiple of the strategy count, one cell per strategy in every row.
+///
+/// # Errors
+///
+/// Describes the mismatch.
+pub fn check_grid(cells: usize) -> Result<(), String> {
+    let strategies = pidpiper_missions::StrategyKind::ALL.len();
+    if cells == 0 || !cells.is_multiple_of(strategies) {
+        return Err(format!(
+            "{cells} cells is not a positive multiple of {strategies} strategies"
+        ));
+    }
+    Ok(())
 }
 
 /// Output directory for experiment artifacts.

@@ -21,7 +21,6 @@ pub mod exp_fig2;
 pub mod exp_fig6;
 pub mod exp_fig8;
 pub mod exp_fig9;
-pub mod exp_fleet;
 pub mod exp_perf;
 pub mod exp_recovery;
 pub mod exp_table1;

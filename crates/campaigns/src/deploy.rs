@@ -8,6 +8,7 @@
 //! paying for training twice.
 
 use pidpiper_core::{artifact, PidPiper, Trainer, TrainerConfig};
+use pidpiper_math::json::workspace_root;
 use pidpiper_missions::{MissionPlan, MissionRunner, MissionSpec, NoDefense, RunnerConfig, Trace};
 use pidpiper_sim::{RvId, VehicleKind};
 use std::fs;
@@ -47,16 +48,6 @@ impl TrainScale {
             TrainScale::Full => 1.0,
         }
     }
-}
-
-/// The workspace root (binaries run with the package directory as cwd, so
-/// relative paths would land under `crates/campaigns/`).
-pub fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(|p| p.to_path_buf())
-        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 fn cache_dir() -> PathBuf {
@@ -145,11 +136,5 @@ mod tests {
     #[test]
     fn scale_defaults_to_quick_geometry() {
         assert!(TrainScale::Quick.geometry() < TrainScale::Full.geometry());
-    }
-
-    #[test]
-    fn workspace_root_is_two_levels_up() {
-        let root = workspace_root();
-        assert!(root.join("Cargo.toml").exists(), "{}", root.display());
     }
 }

@@ -31,18 +31,6 @@ pub struct PidConfig {
 }
 
 impl PidConfig {
-    /// A proportional-only configuration.
-    pub fn p_only(kp: f64, output_limit: f64) -> Self {
-        PidConfig {
-            kp,
-            ki: 0.0,
-            kd: 0.0,
-            integral_limit: 0.0,
-            output_limit,
-            derivative_filter: 0.0,
-        }
-    }
-
     /// Validates gain plausibility.
     ///
     /// # Panics

@@ -330,15 +330,6 @@ impl CusumMonitor {
         self.last_residuals
     }
 
-    /// The largest residual among monitored axes from the last update.
-    pub fn max_monitored_residual(&self) -> f64 {
-        let thr = self.thresholds.to_array();
-        (0..MONITOR_AXES)
-            .filter(|&a| thr[a].is_some())
-            .map(|a| self.last_residuals[a])
-            .fold(0.0, f64::max)
-    }
-
     /// The largest statistic across monitored axes.
     pub fn statistic(&self) -> f64 {
         let thr = self.thresholds.to_array();

@@ -6,9 +6,9 @@
 //! 1. **Determinism gate** — a reduced fleet is run four times (1
 //!    worker, several workers, different shard count, and the opposite
 //!    batching mode) and every per-session fingerprint is compared
-//!    bit-for-bit. The bench records the verdict; the `pidpiper-fleet`
-//!    binary exits nonzero on a mismatch and CI's `fleet-smoke` job
-//!    asserts the flags.
+//!    bit-for-bit. The bench records the verdict, and
+//!    [`FleetBenchReport::check`] fails the `pidpiper-fleet` binary on a
+//!    mismatch.
 //! 2. **Admission exercise** — the full fleet is submitted with a
 //!    deliberate overflow beyond capacity, so the report always carries
 //!    real queued/rejected/quarantined counts, and a slice of sessions
@@ -26,15 +26,17 @@
 //! `PIDPIPER_FLEET_SHARDS`, `PIDPIPER_FLEET_SHARD_CAPACITY`,
 //! `PIDPIPER_FLEET_PENDING`, `PIDPIPER_FLEET_COST_BUDGET`,
 //! `PIDPIPER_FLEET_STRATEGY` (the recovery strategy every session runs),
-//! `PIDPIPER_FLEET_BATCH` (batched vs per-session inference), and
-//! `PIDPIPER_JOBS` for the worker pool.
+//! and `PIDPIPER_JOBS` for the worker pool. The timed fleet always runs
+//! batched inference; the gate's `batch_invariant` leg runs the
+//! per-session path as the reference.
 
-use std::fs;
-use std::path::PathBuf;
+use std::io;
 use std::time::Instant;
 
 use pidpiper_faults::FaultSchedule;
 use pidpiper_math::float::sort_floats;
+use pidpiper_math::json::{self, Json};
+use pidpiper_math::json_object;
 use pidpiper_missions::{configured_jobs, MissionBudget, StrategyKind};
 
 use crate::engine::{FleetBatch, FleetConfig, FleetEngine};
@@ -68,8 +70,8 @@ pub struct FleetBenchConfig {
     /// `spec` / `diagnosis` short aliases; unknown values fall back to
     /// the Algorithm 1 default).
     pub strategy: StrategyKind,
-    /// Inference batching mode (`PIDPIPER_FLEET_BATCH`: `batched` |
-    /// `per-session`; unknown values fall back to the batched default).
+    /// Inference batching mode of the timed fleet (batched by default;
+    /// the gate also runs the other mode).
     pub batch: FleetBatch,
 }
 
@@ -121,10 +123,6 @@ impl FleetBenchConfig {
             .ok()
             .and_then(|v| StrategyKind::parse(&v))
             .unwrap_or(cfg.strategy);
-        cfg.batch = std::env::var("PIDPIPER_FLEET_BATCH")
-            .ok()
-            .and_then(|v| FleetBatch::parse(&v))
-            .unwrap_or(cfg.batch);
         cfg.workers = configured_jobs();
         cfg
     }
@@ -386,136 +384,130 @@ pub fn run(cfg: &FleetBenchConfig) -> FleetBenchReport {
     }
 }
 
+impl FleetBenchReport {
+    /// Checks every value the report promises: positive sizes, rates and
+    /// latencies, the two timed rows, consistent admission counters with
+    /// backpressure exercised, and a passed determinism gate.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated property.
+    pub fn check(&self) -> Result<(), String> {
+        let c = &self.cfg;
+        json::require_nonzero(&[
+            ("sessions", c.sessions),
+            ("ticks", c.ticks),
+            ("shards", c.shards),
+            ("workers", c.workers),
+            ("shard_capacity", c.shard_capacity),
+            ("pending_capacity", c.pending_capacity),
+            ("bytes_per_session", self.bytes_per_session),
+        ])?;
+        json::require_positive(&[
+            ("session_ticks_per_sec", self.session_ticks_per_sec),
+            ("fleet_tick_ms_mean", self.tick_ms_mean),
+            ("fleet_tick_ms_p99", self.tick_ms_p99),
+        ])?;
+        for r in &self.runs {
+            json::require_positive(&[
+                ("run session_ticks_per_sec", r.session_ticks_per_sec),
+                ("run fleet_tick_ms_mean", r.tick_ms_mean),
+                ("run fleet_tick_ms_p99", r.tick_ms_p99),
+            ])?;
+        }
+        let workers: Vec<usize> = self.runs.iter().map(|r| r.workers).collect();
+        let want = if c.workers > 1 {
+            vec![1, c.workers]
+        } else {
+            vec![1]
+        };
+        if workers != want {
+            return Err(format!("run workers {workers:?}, expected {want:?}"));
+        }
+        let [submitted, admitted, queued, rejected, _, _] = self.admission;
+        if submitted != admitted + queued + rejected {
+            return Err(format!(
+                "submitted {submitted} != admitted + queued + rejected"
+            ));
+        }
+        if queued == 0 || rejected == 0 {
+            return Err(format!(
+                "backpressure not exercised: queued {queued}, rejected {rejected}"
+            ));
+        }
+        if !self.gate.passed() {
+            return Err(format!("determinism gate failed: {:?}", self.gate));
+        }
+        Ok(())
+    }
+}
+
 /// Renders the report as the `BENCH_fleet.json` document.
 pub fn to_json(r: &FleetBenchReport) -> String {
-    let cost_budget = match r.cfg.cost_budget {
-        Some(b) => b.to_string(),
-        None => "null".to_string(),
-    };
-    let runs = r
-        .runs
-        .iter()
-        .map(|row| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"workers\": {workers},\n",
-                    "      \"session_ticks_per_sec\": {tps:.1},\n",
-                    "      \"fleet_tick_ms_mean\": {mean:.3},\n",
-                    "      \"fleet_tick_ms_p99\": {p99:.3}\n",
-                    "    }}"
-                ),
-                workers = row.workers,
-                tps = row.session_ticks_per_sec,
-                mean = row.tick_ms_mean,
-                p99 = row.tick_ms_p99,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fleet_engine\",\n",
-            "  \"config\": {{\n",
-            "    \"sessions\": {sessions},\n",
-            "    \"ticks\": {ticks},\n",
-            "    \"shards\": {shards},\n",
-            "    \"workers\": {workers},\n",
-            "    \"shard_capacity\": {cap},\n",
-            "    \"pending_capacity\": {pend},\n",
-            "    \"cost_budget\": {cost_budget},\n",
-            "    \"seed\": {seed},\n",
-            "    \"strategy\": \"{strategy}\",\n",
-            "    \"batch\": \"{batch}\"\n",
-            "  }},\n",
-            "  \"resident_sessions\": {resident},\n",
-            "  \"session_ticks_per_sec\": {tps:.1},\n",
-            "  \"fleet_tick_ms_mean\": {mean:.3},\n",
-            "  \"fleet_tick_ms_p99\": {p99:.3},\n",
-            "  \"runs\": [\n{runs}\n  ],\n",
-            "  \"bytes_per_session\": {bps},\n",
-            "  \"session_cost_units\": {cost},\n",
-            "  \"admission\": {{\n",
-            "    \"submitted\": {submitted},\n",
-            "    \"admitted\": {admitted},\n",
-            "    \"queued\": {queued},\n",
-            "    \"rejected\": {rejected},\n",
-            "    \"admitted_from_queue\": {from_queue},\n",
-            "    \"quarantined\": {quarantined}\n",
-            "  }},\n",
-            "  \"health\": {{\n",
-            "    \"in_recovery\": {in_recovery},\n",
-            "    \"degraded\": {degraded},\n",
-            "    \"tripped_session_ticks\": {tripped}\n",
-            "  }},\n",
-            "  \"determinism\": {{\n",
-            "    \"gate_sessions\": {gate_sessions},\n",
-            "    \"gate_ticks\": {gate_ticks},\n",
-            "    \"worker_invariant\": {worker_invariant},\n",
-            "    \"shard_invariant\": {shard_invariant},\n",
-            "    \"batch_invariant\": {batch_invariant}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        sessions = r.cfg.sessions,
-        ticks = r.cfg.ticks,
-        shards = r.cfg.shards,
-        workers = r.cfg.workers,
-        cap = r.cfg.shard_capacity,
-        pend = r.cfg.pending_capacity,
-        cost_budget = cost_budget,
-        seed = r.cfg.seed,
-        strategy = r.cfg.strategy.name(),
-        batch = r.cfg.batch.as_str(),
-        resident = r.resident_sessions,
-        runs = runs,
-        tps = r.session_ticks_per_sec,
-        mean = r.tick_ms_mean,
-        p99 = r.tick_ms_p99,
-        bps = r.bytes_per_session,
-        cost = r.session_cost,
-        submitted = r.admission[0],
-        admitted = r.admission[1],
-        queued = r.admission[2],
-        rejected = r.admission[3],
-        from_queue = r.admission[4],
-        quarantined = r.admission[5],
-        in_recovery = r.health[0],
-        degraded = r.health[1],
-        tripped = r.health[2],
-        gate_sessions = r.gate.gate_sessions,
-        gate_ticks = r.gate.gate_ticks,
-        worker_invariant = r.gate.worker_invariant,
-        shard_invariant = r.gate.shard_invariant,
-        batch_invariant = r.gate.batch_invariant,
-    )
-}
-
-/// Workspace root, resolved from this crate's manifest directory.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .map(PathBuf::from)
-        .unwrap_or(manifest)
-}
-
-/// Writes `BENCH_fleet.json` to the workspace root and mirrors it into
-/// `target/experiments/`.
-pub fn write_report(r: &FleetBenchReport) {
-    let body = to_json(r);
-    let root = workspace_root();
-    let exp_dir = root.join("target").join("experiments");
-    if let Err(e) = fs::create_dir_all(&exp_dir) {
-        eprintln!("warning: failed to create {}: {e}", exp_dir.display());
-    }
-    for path in [root.join("BENCH_fleet.json"), exp_dir.join("BENCH_fleet.json")] {
-        if let Err(e) = fs::write(&path, &body) {
-            eprintln!("warning: failed to write {}: {e}", path.display());
+    let runs = r.runs.iter().map(|t| {
+        json_object! {
+            "workers" => t.workers,
+            "session_ticks_per_sec" => Json::fixed(t.session_ticks_per_sec, 1),
+            "fleet_tick_ms_mean" => Json::fixed(t.tick_ms_mean, 3),
+            "fleet_tick_ms_p99" => Json::fixed(t.tick_ms_p99, 3),
         }
-    }
+    });
+    let (c, g) = (&r.cfg, &r.gate);
+    let [submitted, admitted, queued, rejected, from_queue, quarantined] = r.admission;
+    let [in_recovery, degraded, tripped] = r.health;
+    let doc = json_object! {
+        "bench" => "fleet_engine",
+        "config" => json_object! {
+            "sessions" => c.sessions,
+            "ticks" => c.ticks,
+            "shards" => c.shards,
+            "workers" => c.workers,
+            "shard_capacity" => c.shard_capacity,
+            "pending_capacity" => c.pending_capacity,
+            "cost_budget" => c.cost_budget,
+            "seed" => c.seed,
+            "strategy" => c.strategy.name(),
+            "batch" => c.batch.as_str(),
+        },
+        "resident_sessions" => r.resident_sessions,
+        "session_ticks_per_sec" => Json::fixed(r.session_ticks_per_sec, 1),
+        "fleet_tick_ms_mean" => Json::fixed(r.tick_ms_mean, 3),
+        "fleet_tick_ms_p99" => Json::fixed(r.tick_ms_p99, 3),
+        "runs" => Json::array(runs),
+        "bytes_per_session" => r.bytes_per_session,
+        "session_cost_units" => r.session_cost,
+        "admission" => json_object! {
+            "submitted" => submitted,
+            "admitted" => admitted,
+            "queued" => queued,
+            "rejected" => rejected,
+            "admitted_from_queue" => from_queue,
+            "quarantined" => quarantined,
+        },
+        "health" => json_object! {
+            "in_recovery" => in_recovery,
+            "degraded" => degraded,
+            "tripped_session_ticks" => tripped,
+        },
+        "determinism" => json_object! {
+            "gate_sessions" => g.gate_sessions,
+            "gate_ticks" => g.gate_ticks,
+            "worker_invariant" => g.worker_invariant,
+            "shard_invariant" => g.shard_invariant,
+            "batch_invariant" => g.batch_invariant,
+        },
+    };
+    doc.render()
+}
+
+/// Writes `BENCH_fleet.json` to the workspace root, mirrors it into
+/// `target/experiments/`, and prints a summary.
+///
+/// # Errors
+///
+/// Returns the I/O error of a failed write.
+pub fn write_report(r: &FleetBenchReport) -> io::Result<()> {
+    json::write_bench_report("BENCH_fleet.json", &to_json(r))?;
     for row in &r.runs {
         println!(
             "exp_fleet[{} worker{}]: {:.0} session-ticks/s, tick p99 {:.2} ms (mean {:.2} ms)",
@@ -535,6 +527,7 @@ pub fn write_report(r: &FleetBenchReport) {
         r.admission,
         if r.gate.passed() { "PASS" } else { "FAIL" },
     );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -570,34 +563,109 @@ mod tests {
     fn report_shape_and_admission_accounting() {
         let cfg = small_cfg();
         let r = run(&cfg);
-        assert!(r.session_ticks_per_sec > 0.0);
-        assert!(r.tick_ms_p99 >= 0.0);
-        assert!(r.tick_ms_mean > 0.0);
         assert!(r.bytes_per_session >= 4416, "ring + state floor");
-        // submitted == admitted + queued + rejected.
-        assert_eq!(r.admission[0], r.admission[1] + r.admission[2] + r.admission[3]);
-        // The deliberate overflow forces queueing AND typed rejection.
-        assert!(r.admission[2] > 0, "no backpressure exercised");
-        assert!(r.admission[3] > 0, "no typed rejection exercised");
         // Two timed rows: the 1-worker anchor and the configured workers.
         assert_eq!(r.runs.len(), 2);
-        assert_eq!(r.runs[0].workers, 1);
-        assert_eq!(r.runs[1].workers, cfg.workers);
-        assert!(r.runs.iter().all(|row| row.session_ticks_per_sec > 0.0));
         assert_eq!(r.session_ticks_per_sec, r.runs[1].session_ticks_per_sec);
-        let json = to_json(&r);
-        assert!(json.contains("\"bench\": \"fleet_engine\""));
-        assert!(json.contains("\"session_ticks_per_sec\""));
-        assert!(json.contains("\"fleet_tick_ms_p99\""));
-        assert!(json.contains("\"bytes_per_session\""));
-        assert!(json.contains("\"batch\": \"batched\""));
-        assert!(json.contains("\"runs\": ["));
-        assert!(json.contains("\"workers\": 1"));
-        assert!(json.contains("\"workers\": 2"));
-        assert!(json.contains("\"worker_invariant\": true"));
-        assert!(json.contains("\"shard_invariant\": true"));
-        assert!(json.contains("\"batch_invariant\": true"));
-        assert!(json.contains("\"cost_budget\": null"));
+        assert_eq!(r.check(), Ok(()));
+    }
+
+    /// A fixed report whose rendering was captured from the hand-written
+    /// template this writer replaced.
+    fn fixed_report() -> FleetBenchReport {
+        let row = |workers, session_ticks_per_sec, tick_ms_mean, tick_ms_p99| TimedRun {
+            workers,
+            session_ticks_per_sec,
+            tick_ms_mean,
+            tick_ms_p99,
+        };
+        FleetBenchReport {
+            cfg: FleetBenchConfig {
+                sessions: 2000,
+                ticks: 40,
+                warmup: 2,
+                shards: 16,
+                workers: 3,
+                shard_capacity: 125,
+                pending_capacity: 4,
+                cost_budget: None,
+                seed: 2021,
+                strategy: StrategyKind::SpecCompliance,
+                batch: FleetBatch::Batched,
+            },
+            resident_sessions: 2000,
+            session_ticks_per_sec: 311823.456,
+            tick_ms_mean: 6.41234,
+            tick_ms_p99: 9.87651,
+            runs: vec![
+                row(1, 150000.04, 13.3335, 15.0004),
+                row(3, 311823.456, 6.41234, 9.87651),
+            ],
+            bytes_per_session: 5111,
+            session_cost: 5,
+            admission: [2192, 2000, 64, 128, 12, 3],
+            health: [17, 2, 40],
+            gate: DeterminismGate {
+                gate_sessions: 512,
+                gate_ticks: 30,
+                worker_invariant: true,
+                shard_invariant: true,
+                batch_invariant: true,
+            },
+        }
+    }
+
+    #[test]
+    fn json_matches_the_golden_rendering() {
+        let golden = json::minify(include_str!("../tests/golden/BENCH_fleet.json"));
+        let mut r = fixed_report();
+        assert_eq!(json::minify(&to_json(&r)), golden);
+        r.cfg.cost_budget = Some(4096);
+        r.cfg.batch = FleetBatch::PerSession;
+        let with_budget = golden
+            .replace(r#""cost_budget":null"#, r#""cost_budget":4096"#)
+            .replace(r#""batch":"batched""#, r#""batch":"per_session""#);
+        assert_eq!(json::minify(&to_json(&r)), with_budget);
+    }
+
+    #[test]
+    fn check_rejects_each_violated_property() {
+        assert_eq!(fixed_report().check(), Ok(()));
+        type Breaker = fn(&mut FleetBenchReport);
+        let cases: [(&str, Breaker); 14] = [
+            ("sessions is 0", |r| r.cfg.sessions = 0),
+            ("pending_capacity is 0", |r| r.cfg.pending_capacity = 0),
+            ("bytes_per_session is 0", |r| r.bytes_per_session = 0),
+            ("session_ticks_per_sec", |r| r.session_ticks_per_sec = 0.0),
+            ("fleet_tick_ms_p99", |r| r.tick_ms_p99 = f64::NAN),
+            ("run fleet_tick_ms_mean", |r| r.runs[0].tick_ms_mean = -1.0),
+            ("run workers", |r| r.runs[1].workers = 2),
+            ("run workers", |r| r.runs.truncate(1)),
+            ("submitted", |r| r.admission[0] += 1),
+            ("backpressure", |r| {
+                (r.admission[0], r.admission[2]) = (r.admission[0] - 64, 0)
+            }),
+            ("backpressure", |r| {
+                (r.admission[0], r.admission[3]) = (r.admission[0] - 128, 0)
+            }),
+            ("determinism gate", |r| r.gate.worker_invariant = false),
+            ("determinism gate", |r| r.gate.shard_invariant = false),
+            ("determinism gate", |r| r.gate.batch_invariant = false),
+        ];
+        for (want, breaker) in cases {
+            let mut r = fixed_report();
+            breaker(&mut r);
+            assert!(
+                r.check().is_err_and(|e| e.contains(want)),
+                "{want}: {:?}",
+                r.check()
+            );
+        }
+        // One configured worker means one timed row.
+        let mut r = fixed_report();
+        r.cfg.workers = 1;
+        r.runs.truncate(1);
+        assert_eq!(r.check(), Ok(()));
     }
 
     #[test]

@@ -11,13 +11,10 @@ use crate::shard::{Admission, AdmissionError, RetiredSession, Shard, ShardTickSt
 
 /// How shards run their sessions' inference each tick.
 ///
-/// Both modes produce bit-identical session fingerprints (the bench's
-/// `batch_invariant` gate compares them); the knob exists for A/B
-/// measurement and as an escape hatch. The batched f64 path is the only
-/// batched mode a fleet can run: `pidpiper_ml::BatchPrecision::F32` is
-/// deliberately not constructible here, so the non-deterministic f32
-/// kernels can never sit under `FleetEngine::tick` (a determinism root —
-/// the analyzer's DT06 rule enforces this at CI time).
+/// Both modes produce bit-identical session fingerprints: the fleet
+/// bench's `batch_invariant` gate runs the per-session path as the
+/// reference for the batched default. Both are exact f64 paths, so
+/// either may sit under `FleetEngine::tick`, a determinism root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetBatch {
     /// One matrix–vector streaming pass per session (the PR-5 loop).
@@ -30,21 +27,7 @@ pub enum FleetBatch {
 }
 
 impl FleetBatch {
-    /// Parses the `PIDPIPER_FLEET_BATCH` knob value. Accepts
-    /// `batched`/`1`/`on` and `per_session`/`per-session`/`0`/`off`
-    /// (case-insensitive); anything else is `None` (callers keep their
-    /// default).
-    pub fn parse(s: &str) -> Option<FleetBatch> {
-        match s.to_ascii_lowercase().as_str() {
-            "batched" | "batch" | "1" | "on" => Some(FleetBatch::Batched),
-            "per_session" | "per-session" | "scalar" | "0" | "off" => {
-                Some(FleetBatch::PerSession)
-            }
-            _ => None,
-        }
-    }
-
-    /// The knob spelling (`batched` / `per_session`), for reports.
+    /// The report spelling (`batched` / `per_session`).
     pub fn as_str(&self) -> &'static str {
         match self {
             FleetBatch::PerSession => "per_session",
@@ -77,8 +60,8 @@ pub struct FleetConfig {
     pub shard_cost_budget: u64,
     /// Per-session tick parameters (CUSUM, supervisor, fault bias …).
     pub session: SessionParams,
-    /// Inference mode per shard tick (`PIDPIPER_FLEET_BATCH` in the
-    /// bench). Bit-identical either way; batched is the default.
+    /// Inference mode per shard tick. Bit-identical either way; batched
+    /// is the default.
     pub batch: FleetBatch,
 }
 
@@ -165,8 +148,6 @@ impl FleetEngine {
         let c = model.config();
         let session_cost = 1 + ((c.window - 1) as u64).div_ceil(config.session.decimate.max(1) as u64);
         let batched = match config.batch {
-            // Always BatchPrecision::Exact: the f32 mode must stay
-            // unreachable from this determinism root.
             FleetBatch::Batched => Some(BatchedStreamingRegressor::compile(&model)),
             FleetBatch::PerSession => None,
         };
@@ -451,12 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_batch_knob_parses_and_prints() {
-        assert_eq!(FleetBatch::parse("batched"), Some(FleetBatch::Batched));
-        assert_eq!(FleetBatch::parse("ON"), Some(FleetBatch::Batched));
-        assert_eq!(FleetBatch::parse("per_session"), Some(FleetBatch::PerSession));
-        assert_eq!(FleetBatch::parse("off"), Some(FleetBatch::PerSession));
-        assert_eq!(FleetBatch::parse("sideways"), None);
+    fn fleet_batch_prints_and_defaults_to_batched() {
         assert_eq!(FleetBatch::Batched.as_str(), "batched");
         assert_eq!(FleetBatch::PerSession.as_str(), "per_session");
         assert_eq!(FleetBatch::default(), FleetBatch::Batched);

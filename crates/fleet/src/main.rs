@@ -2,10 +2,11 @@
 //!
 //! Reads its configuration from `PIDPIPER_FLEET_*` / `PIDPIPER_JOBS`
 //! environment knobs (see `OPERATIONS.md`), runs the determinism gate and
-//! the timed fleet run, writes `BENCH_fleet.json` to the workspace root,
-//! and exits non-zero if any per-session result differed across worker or
-//! shard counts — bit-identical fleet ticks are a contract, not a
-//! nice-to-have (CI's fleet-smoke job runs this binary).
+//! the timed fleet run, checks the report, and writes `BENCH_fleet.json`
+//! to the workspace root. It exits non-zero if any per-session result
+//! differed across worker counts, shard counts or batching modes, or if
+//! any other report value is out of range (`FleetBenchReport::check`):
+//! bit-identical fleet ticks are a contract, not a nice-to-have.
 
 use pidpiper_fleet::bench;
 
@@ -16,16 +17,12 @@ fn main() {
         cfg.sessions, cfg.ticks, cfg.shards, cfg.workers
     );
     let report = bench::run(&cfg);
-    bench::write_report(&report);
-    if !report.gate.passed() {
-        eprintln!(
-            "FAIL: fleet determinism gate (worker_invariant={}, shard_invariant={}, \
-             batch_invariant={}); per-session fingerprints must be bit-identical for \
-             any worker count and batching mode",
-            report.gate.worker_invariant,
-            report.gate.shard_invariant,
-            report.gate.batch_invariant,
-        );
+    if let Err(e) = report.check() {
+        eprintln!("FAIL: BENCH_fleet.json report check: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = bench::write_report(&report) {
+        eprintln!("FAIL: writing BENCH_fleet.json: {e}");
         std::process::exit(1);
     }
     println!("fleet determinism gate: OK");

@@ -38,8 +38,8 @@
 //! orders looser) but not bit-equal to it, which is why the swap had to
 //! reach every path at once.
 //!
-//! - Inputs are clamped to the non-overflowing domain (`±708` for f64,
-//!   `−87/88` for f32); beyond it the functions saturate instead of
+//! - Inputs are clamped to the non-overflowing domain (`±708`); beyond
+//!   it the functions saturate instead of
 //!   returning `inf`/`0` — the saturated activation values are exactly
 //!   the limits (`1.0`, `±1.0`) well before the clamp engages.
 //! - `NaN` propagates: `clamp` keeps NaN, every polynomial step keeps
@@ -119,48 +119,6 @@ pub fn fast_tanh(z: f64) -> f64 {
     (t - 1.0) / (t + 1.0)
 }
 
-/// f32 round-to-nearest shifter: `1.5 * 2^23`.
-const SHIFT_F32: f32 = 12_582_912.0;
-/// High half of `ln 2` in f32 (Cephes split, exactly representable).
-const LN2_HI_F32: f32 = 0.693_359_375;
-/// Low (negative) half of `ln 2` in f32.
-const LN2_LO_F32: f32 = -2.121_944_4e-4;
-
-/// f32 `exp(x)`: the [`fast_exp`] construction at single precision
-/// (order-6 polynomial, relative error ≲ 2e-7). Used by the opt-in
-/// `f32` batched mode only — f64 paths never call it.
-#[inline(always)]
-pub fn fast_exp_f32(x: f32) -> f32 {
-    let x = x.clamp(-87.0, 88.0);
-    let shifted = x * std::f32::consts::LOG2_E + SHIFT_F32;
-    let k = shifted - SHIFT_F32;
-    let r = (x - k * LN2_HI_F32) - k * LN2_LO_F32;
-    // Order-7 Taylor, Horner form (truncation ~5e-9, below f32 eps).
-    let mut p = 1.984_127_0e-4; // 1/7!
-    p = p * r + 1.388_888_9e-3; // 1/6!
-    p = p * r + 8.333_333_3e-3; // 1/5!
-    p = p * r + 4.166_666_8e-2; // 1/4!
-    p = p * r + 1.666_666_7e-1; // 1/3!
-    p = p * r + 0.5;
-    p = p * r + 1.0;
-    p = p * r + 1.0;
-    let scale = f32::from_bits((shifted.to_bits() << 23).wrapping_add(0x3F80_0000));
-    p * scale
-}
-
-/// f32 logistic activation via [`fast_exp_f32`] (f32 batched mode only).
-#[inline(always)]
-pub fn fast_sigmoid_f32(z: f32) -> f32 {
-    1.0 / (1.0 + fast_exp_f32(-z))
-}
-
-/// f32 `tanh` via [`fast_exp_f32`] (f32 batched mode only).
-#[inline(always)]
-pub fn fast_tanh_f32(z: f32) -> f32 {
-    let t = fast_exp_f32(2.0 * z.clamp(-10.0, 10.0));
-    (t - 1.0) / (t + 1.0)
-}
-
 macro_rules! slice_kernel {
     ($t:ty, $scalar:ident, $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $pub_name:ident) => {
         #[inline(always)]
@@ -222,17 +180,6 @@ slice_kernel!(
     tanh_slice_impl, tanh_slice_avx2, tanh_slice_avx512,
     fast_tanh_slice
 );
-slice_kernel!(
-    f32, fast_sigmoid_f32,
-    sigmoid_slice_impl_f32, sigmoid_slice_avx2_f32, sigmoid_slice_avx512_f32,
-    fast_sigmoid_slice_f32
-);
-slice_kernel!(
-    f32, fast_tanh_f32,
-    tanh_slice_impl_f32, tanh_slice_avx2_f32, tanh_slice_avx512_f32,
-    fast_tanh_slice_f32
-);
-
 /// Applies a slice kernel to rows `rows` of a lane-major panel
 /// (`panel[row * width + lane]`), touching only the `active` leading
 /// lanes of each row.
@@ -312,9 +259,6 @@ mod tests {
         assert!(fast_exp(f64::NAN).is_nan());
         assert!(fast_sigmoid(f64::NAN).is_nan());
         assert!(fast_tanh(f64::NAN).is_nan());
-        assert!(fast_exp_f32(f32::NAN).is_nan());
-        assert!(fast_sigmoid_f32(f32::NAN).is_nan());
-        assert!(fast_tanh_f32(f32::NAN).is_nan());
     }
 
     #[test]
@@ -333,19 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_variants_track_f64_references() {
-        for z in sweep(-30.0, 30.0, 5_000) {
-            let zf = z as f32;
-            let e = (fast_exp_f32(zf) as f64 - z.exp()).abs() / z.exp();
-            assert!(e < 3e-6, "exp f32 z={z}: rel {e:e}");
-            let s = (fast_sigmoid_f32(zf) as f64 - 1.0 / (1.0 + (-z).exp())).abs();
-            assert!(s < 1e-6, "sigmoid f32 z={z}: abs {s:e}");
-            let t = (fast_tanh_f32(zf) as f64 - z.tanh()).abs();
-            assert!(t < 1e-6, "tanh f32 z={z}: abs {t:e}");
-        }
-    }
-
-    #[test]
     fn scalar_and_slice_evaluation_agree_bitwise() {
         // The whole point of the module: evaluating the same inputs
         // one-at-a-time or through the ISA-dispatched slice kernels
@@ -360,15 +291,6 @@ mod tests {
         for (i, &z) in inputs.iter().enumerate() {
             assert_eq!(sig[i].to_bits(), fast_sigmoid(z).to_bits());
             assert_eq!(tan[i].to_bits(), fast_tanh(z).to_bits());
-        }
-        let f32s: Vec<f32> = inputs.iter().map(|&z| z as f32).collect();
-        let mut sig32 = f32s.clone();
-        fast_sigmoid_slice_f32(&mut sig32);
-        let mut tan32 = f32s.clone();
-        fast_tanh_slice_f32(&mut tan32);
-        for (i, &z) in f32s.iter().enumerate() {
-            assert_eq!(sig32[i].to_bits(), fast_sigmoid_f32(z).to_bits());
-            assert_eq!(tan32[i].to_bits(), fast_tanh_f32(z).to_bits());
         }
     }
 }

@@ -419,11 +419,6 @@ gemm_kernels!(
     gemm_impl_f64, gemm_avx2_f64, gemm_avx512_f64, gemm_dispatch_f64,
     gemm_bias, gemm_acc
 );
-gemm_kernels!(
-    f32, "f32",
-    gemm_impl_f32, gemm_avx2_f32, gemm_avx512_f32, gemm_dispatch_f32,
-    gemm_bias_f32, gemm_acc_f32
-);
 
 /// Shared bounds checks: `a` must hold `m` rows of `k` at stride `lda`,
 /// `x` must hold `k` panel rows at `x_stride`, `out` must hold `m` panel
@@ -610,32 +605,6 @@ mod tests {
             gemm_impl_f64(&a, k, 1, k, None, &x, n, &mut portable, n, n);
             for (d, p) in dispatched.iter().zip(&portable) {
                 assert_eq!(d.to_bits(), p.to_bits(), "m=1 n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_kernels_match_f32_scalar_reference() {
-        let (m, k, n) = (4usize, 5usize, 11usize);
-        let a: Vec<f32> = fill(11, m * k).iter().map(|&v| v as f32).collect();
-        let bias: Vec<f32> = fill(12, m).iter().map(|&v| v as f32).collect();
-        let x: Vec<f32> = fill(13, k * n).iter().map(|&v| v as f32).collect();
-        let mut out = vec![0.0f32; m * n];
-        gemm_bias_f32(&a, k, m, k, &bias, &x, n, &mut out, n, n);
-        gemm_acc_f32(&a, k, m, k, &x, n, &mut out, n, n);
-        for c in 0..n {
-            for r in 0..m {
-                let mut acc = 0.0f32;
-                for j in 0..k {
-                    acc += a[r * k + j] * x[j * n + c];
-                }
-                let mut z = bias[r] + acc;
-                let mut acc = 0.0f32;
-                for j in 0..k {
-                    acc += a[r * k + j] * x[j * n + c];
-                }
-                z += acc;
-                assert_eq!(out[r * n + c].to_bits(), z.to_bits(), "r={r} c={c}");
             }
         }
     }

@@ -18,7 +18,9 @@
 //!   every inference path ([`activations`]);
 //! - NaN-safe total-order comparison helpers ([`float`]) — the required
 //!   replacement for `partial_cmp().unwrap()` and float `==` throughout
-//!   the workspace (enforced by `pidpiper-analyzer`).
+//!   the workspace (enforced by `pidpiper-analyzer`);
+//! - the JSON writer every `BENCH_*.json` report goes through, and the
+//!   workspace-root path those reports land in ([`json`]).
 //!
 //! # Examples
 //!
@@ -41,6 +43,7 @@ pub mod cusum;
 pub mod dtw;
 pub mod float;
 pub mod gemm;
+pub mod json;
 pub mod mat3;
 pub mod matrix;
 pub mod stats;
@@ -51,7 +54,7 @@ pub use angles::{deg_to_rad, rad_to_deg, wrap_angle};
 pub use cusum::Cusum;
 pub use dtw::{dtw_distance, dtw_path};
 pub use float::{approx_eq, fmax, fmin, is_zero, sort_floats};
-pub use gemm::{gemm_acc, gemm_acc_f32, gemm_bias, gemm_bias_f32};
+pub use gemm::{gemm_acc, gemm_bias};
 pub use mat3::Mat3;
 pub use matrix::Matrix;
 pub use stats::{mean, population_variance, sample_variance, std_dev, RollingWindow};

@@ -83,12 +83,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root).
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Norm of the XY (horizontal) components only.
     #[inline]
     pub fn norm_xy(self) -> f64 {
@@ -125,16 +119,6 @@ impl Vec3 {
         } else {
             self
         }
-    }
-
-    /// Clamps each component into `[-limit, limit]`.
-    #[inline]
-    pub fn clamp_components(self, limit: f64) -> Vec3 {
-        Vec3::new(
-            self.x.clamp(-limit, limit),
-            self.y.clamp(-limit, limit),
-            self.z.clamp(-limit, limit),
-        )
     }
 
     /// Linear interpolation: `self * (1 - t) + other * t`.
@@ -179,11 +163,6 @@ impl Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 
-    /// The largest component (NaN components win, surfacing corruption).
-    #[inline]
-    pub fn max_component(self) -> f64 {
-        crate::float::fmax(crate::float::fmax(self.x, self.y), self.z)
-    }
 }
 
 impl fmt::Display for Vec3 {

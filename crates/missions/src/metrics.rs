@@ -98,14 +98,6 @@ pub struct MissionResult {
     pub trace: Trace,
 }
 
-impl MissionResult {
-    /// Whether a *gratuitous* recovery occurred: recovery activated even
-    /// though no attack step ever happened (Table II's analysis).
-    pub fn gratuitous_recovery(&self) -> bool {
-        self.recovery_activations > 0 && self.attack_steps == 0
-    }
-}
-
 /// Aggregates outcome counts across missions (one table row).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {

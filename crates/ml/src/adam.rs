@@ -63,17 +63,6 @@ impl Adam {
         self
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Updates the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one Adam update to every parameter, consuming their
     /// accumulated gradients (gradients are *not* cleared; call
     /// [`Param::zero_grad`] afterwards).

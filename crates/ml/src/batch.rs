@@ -31,17 +31,6 @@
 //! phase skew, quarantine) simply pack the compatible subset and fall
 //! back to the per-session path for the rest — see
 //! `pidpiper-fleet::shard`.
-//!
-//! # `f32` mode
-//!
-//! [`BatchPrecision::F32`] enables an opt-in single-precision path
-//! (`step_batch_f32` / `finish_batch_f32`) that halves panel traffic at
-//! the cost of a measured error envelope (pinned in
-//! `batch_bit_identity.rs`, reported by `exp_perf`). It is **banned from
-//! determinism roots**: fleet fingerprints are computed over f64 bit
-//! patterns, so the analyzer manifest (`analyzer.boundaries`) marks the
-//! f32 entry points `det_banned` and CI fails if they ever become
-//! reachable from `Trace::fingerprint` / `FleetEngine::tick`.
 
 use crate::dense::Activation;
 use crate::digest::fnv64;
@@ -56,69 +45,6 @@ use pidpiper_math::gemm;
 /// cache-resident regardless of the total batch width. Lanes are
 /// independent, so windowing never changes per-lane op order.
 const COL_BLOCK: usize = 64;
-
-/// Numeric precision of the batched path.
-///
-/// The typed knob the paper-faithful pipeline keeps at [`Exact`]:
-/// `Exact` is bit-identical to the per-session streaming path and is the
-/// only mode the fleet engine can construct. `F32` additionally builds
-/// single-precision weight mirrors and panel buffers for the
-/// `*_batch_f32` entry points (throughput experiments only).
-///
-/// [`Exact`]: BatchPrecision::Exact
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPrecision {
-    /// f64 panels, `to_bits`-identical to `StreamingRegressor` (default).
-    #[default]
-    Exact,
-    /// Opt-in f32 panels with a measured error envelope; never reachable
-    /// from determinism roots (enforced by the analyzer's DT06 rule).
-    F32,
-}
-
-/// Single-precision mirror of a [`FusedLstm`].
-#[derive(Debug, Clone)]
-struct F32Lstm {
-    input: usize,
-    hidden: usize,
-    rows: Vec<f32>,
-    bias: Vec<f32>,
-}
-
-impl F32Lstm {
-    fn from_fused(l: &FusedLstm, rows: &[f64]) -> Self {
-        F32Lstm {
-            input: l.input,
-            hidden: l.hidden,
-            rows: rows.iter().map(|&v| v as f32).collect(),
-            bias: l.bias.iter().map(|&v| v as f32).collect(),
-        }
-    }
-}
-
-/// Single-precision mirror of a dense layer.
-#[derive(Debug, Clone)]
-struct F32Dense {
-    rows: usize,
-    cols: usize,
-    w: Vec<f32>,
-    b: Vec<f32>,
-    alpha: Vec<f32>,
-    activation: Activation,
-}
-
-impl F32Dense {
-    fn from_dense(d: &CompiledDense, rows: &[f64]) -> Self {
-        F32Dense {
-            rows: d.output,
-            cols: d.input,
-            w: rows.iter().map(|&v| v as f32).collect(),
-            b: d.bias.iter().map(|&v| v as f32).collect(),
-            alpha: d.alpha.iter().map(|&v| v as f32).collect(),
-            activation: d.activation,
-        }
-    }
-}
 
 /// Row-major copies of the engine's weight blocks, the layout the batched
 /// GEMM sweeps: one weight row per output unit, broadcast across the
@@ -150,64 +76,6 @@ impl RowMajorWeights {
     }
 }
 
-/// All single-precision weight mirrors (built only under
-/// [`BatchPrecision::F32`]).
-#[derive(Debug, Clone)]
-struct F32Weights {
-    lstm1: F32Lstm,
-    lstm2: F32Lstm,
-    fc_sigmoid: F32Dense,
-    fc_prelu1: F32Dense,
-    fc_prelu2: F32Dense,
-    head: F32Dense,
-    t_mean: Vec<f32>,
-    t_std: Vec<f32>,
-}
-
-/// Single-precision panel set, allocated only under
-/// [`BatchPrecision::F32`].
-#[derive(Debug, Clone)]
-struct F32Panels {
-    x: Vec<f32>,
-    h1: Vec<f32>,
-    c1: Vec<f32>,
-    h2: Vec<f32>,
-    c2: Vec<f32>,
-    pre: Vec<f32>,
-    fc_a: Vec<f32>,
-    fc_b: Vec<f32>,
-    z: Vec<f32>,
-}
-
-impl F32Panels {
-    fn new(input: usize, hidden: usize, fc: usize, output: usize, w: usize) -> Self {
-        F32Panels {
-            x: vec![0.0; input * w],
-            h1: vec![0.0; hidden * w],
-            c1: vec![0.0; hidden * w],
-            h2: vec![0.0; hidden * w],
-            c2: vec![0.0; hidden * w],
-            pre: vec![0.0; 4 * hidden * w],
-            fc_a: vec![0.0; fc * w],
-            fc_b: vec![0.0; fc * w],
-            z: vec![0.0; output * w],
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        (self.x.len()
-            + self.h1.len()
-            + self.c1.len()
-            + self.h2.len()
-            + self.c2.len()
-            + self.pre.len()
-            + self.fc_a.len()
-            + self.fc_b.len()
-            + self.z.len())
-            * std::mem::size_of::<f32>()
-    }
-}
-
 /// Caller-owned struct-of-arrays working panels for one
 /// [`BatchedStreamingRegressor`].
 ///
@@ -234,12 +102,10 @@ pub struct BatchScratch {
     fc_b: Vec<f64>,
     /// Normalized outputs (`output_dim x width`).
     z: Vec<f64>,
-    /// De-normalized outputs (`output_dim x width`); written by both the
-    /// f64 and f32 finish paths (the latter converts on store).
+    /// De-normalized outputs (`output_dim x width`).
     out: Vec<f64>,
     /// One normalized row (`input_dim`), for the whole-window helpers.
     normed: Vec<f64>,
-    f32p: Option<F32Panels>,
 }
 
 impl BatchScratch {
@@ -248,10 +114,9 @@ impl BatchScratch {
         self.width
     }
 
-    /// Heap bytes held by this scratch (all panels, f32 mirrors
-    /// included when present).
+    /// Heap bytes held by this scratch (all panels).
     pub fn resident_bytes(&self) -> usize {
-        let f64_bytes = (self.x.len()
+        (self.x.len()
             + self.h1.len()
             + self.c1.len()
             + self.h2.len()
@@ -262,20 +127,14 @@ impl BatchScratch {
             + self.z.len()
             + self.out.len()
             + self.normed.len())
-            * std::mem::size_of::<f64>();
-        f64_bytes + self.f32p.as_ref().map_or(0, F32Panels::resident_bytes)
+            * std::mem::size_of::<f64>()
     }
 
-    /// Zeroes all LSTM state panels (both precisions) — every lane is
-    /// then at the start-of-window state, like `StreamState::reset`.
+    /// Zeroes all LSTM state panels — every lane is then at the
+    /// start-of-window state, like `StreamState::reset`.
     pub fn reset_states(&mut self) {
         for p in [&mut self.h1, &mut self.c1, &mut self.h2, &mut self.c2] {
             p.fill(0.0);
-        }
-        if let Some(f) = &mut self.f32p {
-            for p in [&mut f.h1, &mut f.c1, &mut f.h2, &mut f.c2] {
-                p.fill(0.0);
-            }
         }
     }
 
@@ -464,22 +323,6 @@ impl BatchScratch {
         }
     }
 
-    /// Loads one normalized row into `lane`'s column of the **f32**
-    /// input panel (converting on store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch was not built under [`BatchPrecision::F32`],
-    /// `lane >= width`, or the row has the wrong dimension.
-    pub fn load_row_f32(&mut self, lane: usize, normed: &[f64]) {
-        assert!(lane < self.width, "lane {lane} >= width {}", self.width);
-        let w = self.width;
-        let f = self.f32p.as_mut().expect("scratch built without BatchPrecision::F32");
-        assert_eq!(normed.len() * w, f.x.len(), "row dimension mismatch");
-        for (j, &v) in normed.iter().enumerate() {
-            f.x[j * w + lane] = v as f32;
-        }
-    }
 }
 
 /// The batched deployment form of a compiled [`StreamingRegressor`].
@@ -511,41 +354,18 @@ impl BatchScratch {
 pub struct BatchedStreamingRegressor {
     engine: StreamingRegressor,
     rows: RowMajorWeights,
-    precision: BatchPrecision,
-    f32w: Option<F32Weights>,
     weights_fp: u64,
 }
 
 impl BatchedStreamingRegressor {
-    /// Compiles the exact (bit-identical f64) batched form of `engine`.
+    /// Compiles the batched form of `engine`, bit-identical to it per
+    /// lane.
     pub fn compile(engine: &StreamingRegressor) -> Self {
-        Self::with_precision(engine, BatchPrecision::Exact)
-    }
-
-    /// Compiles with an explicit [`BatchPrecision`]; `F32` additionally
-    /// builds single-precision weight mirrors for the `*_f32` entry
-    /// points (the f64 path stays available and exact).
-    pub fn with_precision(engine: &StreamingRegressor, precision: BatchPrecision) -> Self {
         let rows = RowMajorWeights::from_engine(engine);
-        let f32w = match precision {
-            BatchPrecision::Exact => None,
-            BatchPrecision::F32 => Some(F32Weights {
-                lstm1: F32Lstm::from_fused(&engine.lstm1, &rows.lstm1),
-                lstm2: F32Lstm::from_fused(&engine.lstm2, &rows.lstm2),
-                fc_sigmoid: F32Dense::from_dense(&engine.fc_sigmoid, &rows.fc_sigmoid),
-                fc_prelu1: F32Dense::from_dense(&engine.fc_prelu1, &rows.fc_prelu1),
-                fc_prelu2: F32Dense::from_dense(&engine.fc_prelu2, &rows.fc_prelu2),
-                head: F32Dense::from_dense(&engine.head, &rows.head),
-                t_mean: engine.target_normalizer.means().iter().map(|&v| v as f32).collect(),
-                t_std: engine.target_normalizer.stds().iter().map(|&v| v as f32).collect(),
-            }),
-        };
         let weights_fp = fingerprint_weights(engine, &rows);
         BatchedStreamingRegressor {
             engine: engine.clone(),
             rows,
-            precision,
-            f32w,
             weights_fp,
         }
     }
@@ -553,11 +373,6 @@ impl BatchedStreamingRegressor {
     /// The wrapped per-session engine (same weights, same config).
     pub fn engine(&self) -> &StreamingRegressor {
         &self.engine
-    }
-
-    /// The precision this instance was compiled for.
-    pub fn precision(&self) -> BatchPrecision {
-        self.precision
     }
 
     /// FNV-1a digest over the engine's weight bits, config and
@@ -584,23 +399,7 @@ impl BatchedStreamingRegressor {
             z: vec![0.0; c.output_dim * width],
             out: vec![0.0; c.output_dim * width],
             normed: vec![0.0; c.input_dim],
-            f32p: match self.precision {
-                BatchPrecision::Exact => None,
-                BatchPrecision::F32 => Some(F32Panels::new(
-                    c.input_dim,
-                    c.hidden,
-                    c.fc_width,
-                    c.output_dim,
-                    width,
-                )),
-            },
         }
-    }
-
-    /// Heap bytes a `width`-lane scratch of this engine occupies —
-    /// what fleet capacity planning amortizes over a shard's sessions.
-    pub fn scratch_bytes(&self, width: usize) -> usize {
-        self.scratch(width).resident_bytes()
     }
 
     /// Advances the first `n` lanes by their loaded input rows: the
@@ -743,74 +542,6 @@ impl BatchedStreamingRegressor {
         Ok(())
     }
 
-    /// `f32` twin of [`Self::step_batch`] over the single-precision
-    /// panels. **Not** bit-identical to the streaming path — for
-    /// throughput experiments only, and flagged `det_banned` in the
-    /// analyzer manifest so it can never reach a determinism root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this instance or the scratch was not built under
-    /// [`BatchPrecision::F32`], or if `n > scratch.width()`.
-    pub fn step_batch_f32(&self, scratch: &mut BatchScratch, n: usize) {
-        assert!(n <= scratch.width, "n={n} exceeds scratch width {}", scratch.width);
-        let w = scratch.width;
-        let weights = self.f32w.as_ref().expect("compiled without BatchPrecision::F32");
-        let f = scratch.f32p.as_mut().expect("scratch built without BatchPrecision::F32");
-        let mut off = 0;
-        while off < n {
-            let nb = (n - off).min(COL_BLOCK);
-            lstm_step_panel_f32(
-                &weights.lstm1,
-                &f.x[off..],
-                &mut f.h1[off..],
-                &mut f.c1[off..],
-                &mut f.pre[off..],
-                w,
-                nb,
-            );
-            lstm_step_panel_f32(
-                &weights.lstm2,
-                &f.h1[off..],
-                &mut f.h2[off..],
-                &mut f.c2[off..],
-                &mut f.pre[off..],
-                w,
-                nb,
-            );
-            off += nb;
-        }
-    }
-
-    /// `f32` twin of [`Self::finish_batch`]: dense stack over the f32
-    /// panels, converting the de-normalized result into the shared f64
-    /// output panel (read back with [`BatchScratch::read_output`]). Same
-    /// caveats as [`Self::step_batch_f32`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if this instance or the scratch was not built under
-    /// [`BatchPrecision::F32`], or if `n > scratch.width()`.
-    pub fn finish_batch_f32(&self, scratch: &mut BatchScratch, n: usize) {
-        assert!(n <= scratch.width, "n={n} exceeds scratch width {}", scratch.width);
-        let w = scratch.width;
-        let weights = self.f32w.as_ref().expect("compiled without BatchPrecision::F32");
-        let f = scratch.f32p.as_mut().expect("scratch built without BatchPrecision::F32");
-        let mut off = 0;
-        while off < n {
-            let nb = (n - off).min(COL_BLOCK);
-            dense_panel_f32(&weights.fc_sigmoid, &f.h2[off..], &mut f.fc_a[off..], w, nb);
-            dense_panel_f32(&weights.fc_prelu1, &f.fc_a[off..], &mut f.fc_b[off..], w, nb);
-            dense_panel_f32(&weights.fc_prelu2, &f.fc_b[off..], &mut f.fc_a[off..], w, nb);
-            dense_panel_f32(&weights.head, &f.fc_a[off..], &mut f.z[off..], w, nb);
-            for (r, (m, s)) in weights.t_mean.iter().zip(&weights.t_std).enumerate() {
-                for c in 0..nb {
-                    scratch.out[r * w + off + c] = (f.z[r * w + off + c] * s + m) as f64;
-                }
-            }
-            off += nb;
-        }
-    }
 }
 
 /// One batched [`FusedLstm`] cell update over `n` lanes (`rows` is the
@@ -893,57 +624,6 @@ fn inverse_panel(norm: &Normalizer, zp: &[f64], outp: &mut [f64], w: usize, n: u
     }
 }
 
-
-fn lstm_step_panel_f32(
-    l: &F32Lstm,
-    xp: &[f32],
-    hp: &mut [f32],
-    cp: &mut [f32],
-    pre: &mut [f32],
-    w: usize,
-    n: usize,
-) {
-    let hd = l.hidden;
-    let stride = l.input + hd;
-    gemm::gemm_bias_f32(&l.rows, stride, 4 * hd, l.input, &l.bias, xp, w, pre, w, n);
-    gemm::gemm_acc_f32(&l.rows[l.input..], stride, 4 * hd, hd, hp, w, pre, w, n);
-    // Mirrors `lstm_step_panel`: dispatched slice activations over the
-    // contiguous gate rows, staged tanh for the cell update.
-    activations::apply_rows(pre, 0..3 * hd, w, n, activations::fast_sigmoid_slice_f32);
-    activations::apply_rows(pre, 3 * hd..4 * hd, w, n, activations::fast_tanh_slice_f32);
-    for j in 0..hd {
-        for c in 0..n {
-            let cj = pre[(hd + j) * w + c] * cp[j * w + c] + pre[j * w + c] * pre[(3 * hd + j) * w + c];
-            cp[j * w + c] = cj;
-            hp[j * w + c] = cj;
-        }
-    }
-    activations::apply_rows(hp, 0..hd, w, n, activations::fast_tanh_slice_f32);
-    for j in 0..hd {
-        for c in 0..n {
-            hp[j * w + c] *= pre[(2 * hd + j) * w + c];
-        }
-    }
-}
-
-fn dense_panel_f32(d: &F32Dense, xp: &[f32], outp: &mut [f32], w: usize, n: usize) {
-    gemm::gemm_bias_f32(&d.w, d.cols, d.rows, d.cols, &d.b, xp, w, outp, w, n);
-    match d.activation {
-        Activation::Linear => {}
-        Activation::Sigmoid => {
-            activations::apply_rows(outp, 0..d.rows, w, n, activations::fast_sigmoid_slice_f32);
-        }
-        Activation::PRelu => {
-            for r in 0..d.rows {
-                let alpha = d.alpha[r];
-                for c in 0..n {
-                    let v = outp[r * w + c];
-                    outp[r * w + c] = if v > 0.0 { v } else { alpha * v };
-                }
-            }
-        }
-    }
-}
 
 /// FNV-1a over the full weight snapshot: config dims, fused LSTM rows and
 /// biases, the dense stack (weights, biases, PReLU slopes) and both
@@ -1096,45 +776,5 @@ mod tests {
         let b2 = BatchedStreamingRegressor::compile(&e2);
         assert_eq!(b1a.weights_fingerprint(), b1b.weights_fingerprint());
         assert_ne!(b1a.weights_fingerprint(), b2.weights_fingerprint());
-    }
-
-    #[test]
-    #[should_panic(expected = "without BatchPrecision::F32")]
-    fn f32_entry_points_require_f32_compile() {
-        let e = engine();
-        let b = BatchedStreamingRegressor::compile(&e);
-        let mut scratch = b.scratch(4);
-        b.step_batch_f32(&mut scratch, 2);
-    }
-
-    #[test]
-    fn f32_mode_stays_in_envelope_here_pinned_in_integration_tests() {
-        let e = engine();
-        let b = BatchedStreamingRegressor::with_precision(&e, BatchPrecision::F32);
-        let mut scratch = b.scratch(4);
-        scratch.reset_states();
-        let mut normed = vec![0.0; 2];
-        let windows: Vec<_> = (0..3).map(|i| window_for(e.config(), i as f64)).collect();
-        for t in 0..e.config().window {
-            for (lane, w) in windows.iter().enumerate() {
-                e.normalize_into(&w[t], &mut normed).expect("dims");
-                scratch.load_row_f32(lane, &normed);
-            }
-            b.step_batch_f32(&mut scratch, 3);
-        }
-        b.finish_batch_f32(&mut scratch, 3);
-        let mut got = [0.0];
-        let mut want = [0.0];
-        let mut solo = e.scratch();
-        for (lane, w) in windows.iter().enumerate() {
-            scratch.read_output(lane, &mut got);
-            e.predict_into(w, &mut solo, &mut want).expect("valid");
-            assert!(
-                (got[0] - want[0]).abs() < 1e-3,
-                "lane {lane}: f32 drifted {} vs {}",
-                got[0],
-                want[0]
-            );
-        }
     }
 }

@@ -41,15 +41,6 @@ pub fn fnv64_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv64(bytes))
 }
 
-impl crate::network::LstmRegressor {
-    /// Content digest of this network's serialized form — a cheap
-    /// identity for logs and artifact bookkeeping (two regressors with
-    /// equal weights, config and normalizers share a digest).
-    pub fn weights_digest(&self) -> u64 {
-        fnv64(self.to_text().as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -148,13 +148,6 @@ impl Quadcopter {
         }
     }
 
-    /// Creates a quadcopter at rest at the given position.
-    pub fn at_position(params: QuadParams, position: Vec3) -> Self {
-        let mut q = Quadcopter::new(params);
-        q.state.position = position;
-        q
-    }
-
     /// The airframe parameters.
     #[inline]
     pub fn params(&self) -> &QuadParams {
