@@ -232,7 +232,7 @@ impl Trainer {
             if epochs == 0 {
                 continue;
             }
-            let rep = regressor.train(&ds.clone(), epochs, lr, self.config.seed + i as u64);
+            let rep = regressor.train(ds, epochs, lr, self.config.seed + i as u64);
             curve.extend(rep.train_mse);
             samples = rep.samples;
         }

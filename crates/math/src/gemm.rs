@@ -1,4 +1,5 @@
-//! Cache-blocked matrix–matrix micro-kernels for batched FFC inference.
+//! Cache-blocked matrix–matrix micro-kernels for FFC inference and
+//! training.
 //!
 //! The streaming inference path (`pidpiper-ml`) computes one matrix–vector
 //! product per session per layer. At fleet scale thousands of sessions
@@ -14,12 +15,17 @@
 //! (`m = 1`) and the "panel" is the weight block, with the layer's output
 //! units as the columns. The lanes then vectorise across output units.
 //!
+//! Training (`LstmRegressor::train`) runs the samples of one optimizer
+//! step as the lanes, and accumulates its weight gradients with the
+//! seeded flavour below.
+//!
 //! # Bit-identity contract
 //!
 //! These kernels are *op-order preserving*: for every output element
 //! `(r, c)` the products `a[r][j] * x[j][c]` are summed left to right
 //! (ascending `j`) into one scalar accumulator, and the bias (if any) is
-//! added exactly once after the sweep — the same shape as
+//! added exactly once after the sweep (the seeded flavour instead starts
+//! the accumulator at `out`) — the same shape as
 //! `Param::matvec_into` (`acc = Σ w·x; out[r] += acc`) and the fused LSTM
 //! step (`z = (bias + w·x) + u·h`, realised here as [`gemm_bias`] for the
 //! `w·x` pass followed by [`gemm_acc`] for the `u·h` pass: the two
@@ -34,6 +40,30 @@
 //! Remainder rows (`m % ROW_BLOCK`) run one chain, remainder columns
 //! (`n % LANES`) one scalar accumulator per column — slower, still
 //! bit-identical.
+//!
+//! # Store flavours
+//!
+//! Each kernel is one of three monomorphizations of the same body, which
+//! differ only in how an element's accumulator starts and is stored:
+//!
+//! - [`gemm_bias`]: the chain starts at zero and the element becomes
+//!   `bias[r] + acc` — a dense layer, or the first pass of an LSTM gate;
+//! - [`gemm_acc`]: the chain starts at zero and the element becomes
+//!   `out + acc` — the second accumulator of the LSTM reduction, or a
+//!   matrix–vector product into a zeroed panel;
+//! - [`gemm_seeded`]: the chain starts *at* `out` and the element becomes
+//!   the chain — a gradient buffer accumulated term by term, resumable
+//!   across calls: two seeded calls over `k` split at any point give the
+//!   bits of one call over all of `k`. For finite inputs it also equals a
+//!   term-by-term loop that skips zero `a` entries, provided the seed is
+//!   not −0.0 (which no sum started at +0.0 can be).
+//!
+//! The seeded flavour is a `const` generic of the body, resolved at
+//! compile time: `gemm_bias` and `gemm_acc` carry no runtime test of it in
+//! their loops. [`Kernels`]
+//! bundles the three, so that code whose bits rest on them can be run
+//! against the deliberately wrong kernels of the `mutants` module (test
+//! builds only).
 //!
 //! Rust does not contract `a * b + c` into a fused multiply-add without an
 //! explicit `mul_add`, so the kernels round after every multiply and every
@@ -91,16 +121,19 @@ macro_rules! gemm_kernels {
     (
         $t:ty, $tname:literal,
         $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $dispatch_name:ident,
-        $bias_name:ident, $acc_name:ident
+        $bias_name:ident, $acc_name:ident, $seeded_name:ident
     ) => {
         /// Portable kernel body (monomorphic, `#[inline(always)]` so the
-        /// feature-gated wrappers recompile it under their ISA). `bias`
-        /// selects the store flavour: `Some` writes `bias[r] + acc`,
-        /// `None` performs `out += acc` — both a single rounding step, as
-        /// the reference reductions require.
+        /// feature-gated wrappers recompile it under their ISA). `SEEDED`
+        /// and `bias` select the store flavour: seeded chains start from
+        /// `out` and store the chain (`bias` is ignored); otherwise `Some`
+        /// writes `bias[r] + acc` and `None` performs `out += acc` — both
+        /// a single rounding step, as the reference reductions require.
+        /// `SEEDED` is a const generic, so no flavour tests it at run
+        /// time.
         #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
         #[inline(always)]
-        fn $impl_name(
+        fn $impl_name<const SEEDED: bool>(
             a: &[$t],
             lda: usize,
             m: usize,
@@ -128,6 +161,13 @@ macro_rules! gemm_kernels {
                     let r2 = &a[b2..b2 + k];
                     let r3 = &a[b3..b3 + k];
                     let mut acc = [[0.0 as $t; LANES]; 16];
+                    if SEEDED {
+                        for q in 0..4 {
+                            for i in 0..ROW_BLOCK {
+                                acc[4 * q + i] = *lanes(out, (r + i) * out_stride + cc + q * LANES);
+                            }
+                        }
+                    }
                     for j in 0..k {
                         let base = j * x_stride + cc;
                         let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
@@ -145,6 +185,10 @@ macro_rules! gemm_kernels {
                         for i in 0..ROW_BLOCK {
                             let o = lanes_mut(out, (r + i) * out_stride + cc + q * LANES);
                             let av = &acc[4 * q + i];
+                            if SEEDED {
+                                *o = *av;
+                                continue;
+                            }
                             match bias {
                                 Some(b) => {
                                     let br = b[r + i];
@@ -165,6 +209,11 @@ macro_rules! gemm_kernels {
                 while r < m {
                     let row = &a[r * lda..r * lda + k];
                     let mut acc = [[0.0 as $t; LANES]; 4];
+                    if SEEDED {
+                        for (q, av) in acc.iter_mut().enumerate() {
+                            *av = *lanes(out, r * out_stride + cc + q * LANES);
+                        }
+                    }
                     for (j, &w) in row.iter().enumerate() {
                         let base = j * x_stride + cc;
                         for (q, av) in acc.iter_mut().enumerate() {
@@ -176,6 +225,10 @@ macro_rules! gemm_kernels {
                     }
                     for (q, av) in acc.iter().enumerate() {
                         let o = lanes_mut(out, r * out_stride + cc + q * LANES);
+                        if SEEDED {
+                            *o = *av;
+                            continue;
+                        }
                         match bias {
                             Some(b) => {
                                 let br = b[r];
@@ -208,6 +261,12 @@ macro_rules! gemm_kernels {
                     let mut acc1 = [0.0 as $t; LANES];
                     let mut acc2 = [0.0 as $t; LANES];
                     let mut acc3 = [0.0 as $t; LANES];
+                    if SEEDED {
+                        acc0 = *lanes(out, r * out_stride + cc);
+                        acc1 = *lanes(out, (r + 1) * out_stride + cc);
+                        acc2 = *lanes(out, (r + 2) * out_stride + cc);
+                        acc3 = *lanes(out, (r + 3) * out_stride + cc);
+                    }
                     for j in 0..k {
                         let xr = lanes(x, j * x_stride + cc);
                         let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
@@ -220,6 +279,10 @@ macro_rules! gemm_kernels {
                     }
                     for (i, acc) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
                         let o = lanes_mut(out, (r + i) * out_stride + cc);
+                        if SEEDED {
+                            *o = *acc;
+                            continue;
+                        }
                         match bias {
                             Some(b) => {
                                 let br = b[r + i];
@@ -238,7 +301,11 @@ macro_rules! gemm_kernels {
                 }
                 while r < m {
                     let row = &a[r * lda..r * lda + k];
-                    let mut acc = [0.0 as $t; LANES];
+                    let mut acc = if SEEDED {
+                        *lanes(out, r * out_stride + cc)
+                    } else {
+                        [0.0 as $t; LANES]
+                    };
                     for (j, &w) in row.iter().enumerate() {
                         let xr = lanes(x, j * x_stride + cc);
                         for (a_l, &x_l) in acc.iter_mut().zip(xr) {
@@ -246,6 +313,11 @@ macro_rules! gemm_kernels {
                         }
                     }
                     let o = lanes_mut(out, r * out_stride + cc);
+                    if SEEDED {
+                        *o = acc;
+                        r += 1;
+                        continue;
+                    }
                     match bias {
                         Some(b) => {
                             let br = b[r];
@@ -267,9 +339,17 @@ macro_rules! gemm_kernels {
             for c in cc..n {
                 for r in 0..m {
                     let row = &a[r * lda..r * lda + k];
-                    let mut acc = 0.0 as $t;
+                    let mut acc = if SEEDED {
+                        out[r * out_stride + c]
+                    } else {
+                        0.0 as $t
+                    };
                     for (j, &w) in row.iter().enumerate() {
                         acc += w * x[j * x_stride + c];
+                    }
+                    if SEEDED {
+                        out[r * out_stride + c] = acc;
+                        continue;
                     }
                     match bias {
                         Some(b) => out[r * out_stride + c] = b[r] + acc,
@@ -284,7 +364,7 @@ macro_rules! gemm_kernels {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
-        fn $avx2_name(
+        fn $avx2_name<const SEEDED: bool>(
             a: &[$t],
             lda: usize,
             m: usize,
@@ -296,14 +376,14 @@ macro_rules! gemm_kernels {
             out_stride: usize,
             n: usize,
         ) {
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            $impl_name::<SEEDED>(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
         }
 
         /// The portable body recompiled with AVX-512F enabled.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        fn $avx512_name(
+        fn $avx512_name<const SEEDED: bool>(
             a: &[$t],
             lda: usize,
             m: usize,
@@ -315,12 +395,12 @@ macro_rules! gemm_kernels {
             out_stride: usize,
             n: usize,
         ) {
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            $impl_name::<SEEDED>(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
         }
 
         /// Selects the widest ISA variant the running CPU supports.
         #[allow(clippy::too_many_arguments)]
-        fn $dispatch_name(
+        fn $dispatch_name<const SEEDED: bool>(
             a: &[$t],
             lda: usize,
             m: usize,
@@ -339,7 +419,7 @@ macro_rules! gemm_kernels {
                     // AVX-512F target feature, which the runtime check
                     // just confirmed on this CPU.
                     return unsafe {
-                        $avx512_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+                        $avx512_name::<SEEDED>(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
                     };
                 }
                 if std::arch::is_x86_feature_detected!("avx2") {
@@ -347,11 +427,11 @@ macro_rules! gemm_kernels {
                     // target feature, which the runtime check just
                     // confirmed on this CPU.
                     return unsafe {
-                        $avx2_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+                        $avx2_name::<SEEDED>(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
                     };
                 }
             }
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            $impl_name::<SEEDED>(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
         }
 
         #[doc = concat!(
@@ -381,7 +461,7 @@ macro_rules! gemm_kernels {
         ) {
             check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
             assert!(bias.len() >= m, "bias too short: {} < {m}", bias.len());
-            $dispatch_name(a, lda, m, k, Some(bias), x, x_stride, out, out_stride, n)
+            $dispatch_name::<false>(a, lda, m, k, Some(bias), x, x_stride, out, out_stride, n)
         }
 
         #[doc = concat!(
@@ -409,7 +489,43 @@ macro_rules! gemm_kernels {
             n: usize,
         ) {
             check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
-            $dispatch_name(a, lda, m, k, None, x, x_stride, out, out_stride, n)
+            $dispatch_name::<false>(a, lda, m, k, None, x, x_stride, out, out_stride, n)
+        }
+
+        #[doc = concat!(
+            "Seeded panel product (`", $tname, "`): for every `r < m`, ",
+            "`c < n` starts one accumulator at `out[r * out_stride + c]`, ",
+            "adds `a[r * lda + j] * x[j * x_stride + c]` to it for ascending ",
+            "`j`, and stores the chain. Each element therefore sees exactly ",
+            "the roundings of `for j { out += a * x }` run in place — the ",
+            "order of a gradient buffer accumulated term by term."
+        )]
+        ///
+        /// Unlike [`gemm_acc`], which sums the products from zero and adds
+        /// that sum to `out` once, nothing here is reassociated against
+        /// the seed. A term-by-term reference loop that skips terms whose
+        /// `a` is ±0.0 gives the same bits only if every `x` is finite (so
+        /// each skipped product is ±0.0) and the seed is not −0.0 — see
+        /// the module docs.
+        ///
+        /// # Panics
+        ///
+        /// Panics if any slice is too short for the requested shape or if
+        /// `n` exceeds `x_stride` / `out_stride`.
+        #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
+        pub fn $seeded_name(
+            a: &[$t],
+            lda: usize,
+            m: usize,
+            k: usize,
+            x: &[$t],
+            x_stride: usize,
+            out: &mut [$t],
+            out_stride: usize,
+            n: usize,
+        ) {
+            check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
+            $dispatch_name::<true>(a, lda, m, k, None, x, x_stride, out, out_stride, n)
         }
     };
 }
@@ -417,8 +533,36 @@ macro_rules! gemm_kernels {
 gemm_kernels!(
     f64, "f64",
     gemm_impl_f64, gemm_avx2_f64, gemm_avx512_f64, gemm_dispatch_f64,
-    gemm_bias, gemm_acc
+    gemm_bias, gemm_acc, gemm_seeded
 );
+
+/// Signature of [`gemm_bias`].
+pub type BiasKernel =
+    fn(&[f64], usize, usize, usize, &[f64], &[f64], usize, &mut [f64], usize, usize);
+
+/// Signature of [`gemm_acc`] and [`gemm_seeded`].
+pub type AccKernel = fn(&[f64], usize, usize, usize, &[f64], usize, &mut [f64], usize, usize);
+
+/// The three store flavours as one value. Code whose bit-identity rests
+/// on the kernels' op order takes a `&Kernels` and runs with
+/// [`KERNELS`], so its tests can run it against kernels with a known
+/// op-order defect and confirm that the defect shows.
+#[derive(Debug, Clone, Copy)]
+pub struct Kernels {
+    /// `out = bias + Σ a·x` ([`gemm_bias`]).
+    pub bias: BiasKernel,
+    /// `out += Σ a·x` ([`gemm_acc`]).
+    pub acc: AccKernel,
+    /// `out` seeds the `Σ a·x` chain ([`gemm_seeded`]).
+    pub seeded: AccKernel,
+}
+
+/// The kernels of this module.
+pub const KERNELS: Kernels = Kernels {
+    bias: gemm_bias,
+    acc: gemm_acc,
+    seeded: gemm_seeded,
+};
 
 /// Shared bounds checks: `a` must hold `m` rows of `k` at stride `lda`,
 /// `x` must hold `k` panel rows at `x_stride`, `out` must hold `m` panel
@@ -464,8 +608,130 @@ fn check_shapes(
     }
 }
 
+/// Kernels with one deliberate op-order defect each, for the guard tests.
+///
+/// Every mutant computes the same real-number product as the kernels of
+/// this module and agrees with them to a few ulps, so only a `to_bits`
+/// comparison on inputs that make the defect visible can tell them apart.
+/// The tests of this module and the training tests of `pidpiper-ml`
+/// (which enables the `mutants` feature for its own tests only) assert
+/// that their bit-identity checks reject every mutant: a check weakened
+/// until it passes a mutant fails the build instead of passing silently.
+#[cfg(any(test, feature = "mutants"))]
+pub mod mutants {
+    use super::{AccKernel, BiasKernel, Kernels};
+
+    /// One op-order defect.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Mutant {
+        /// The row's two accumulators swap roles: the product chain
+        /// starts from the preload (the bias, or `out`) instead of
+        /// starting from zero and having the preload added once. Exactly
+        /// the real kernels while every bias and every `out` is zero.
+        SwappedAccumulators,
+        /// `k` split in two halves summed in separate accumulators, then
+        /// combined.
+        SplitK,
+        /// Every multiply–add fused with `mul_add` (one rounding, not two).
+        MulAdd,
+        /// The seeded flavour built the [`super::gemm_acc`] way: the
+        /// products summed from zero and added to `out` once.
+        SeedFromZero,
+    }
+
+    impl Mutant {
+        /// Every mutant.
+        pub const ALL: [Mutant; 4] = [
+            Mutant::SwappedAccumulators,
+            Mutant::SplitK,
+            Mutant::MulAdd,
+            Mutant::SeedFromZero,
+        ];
+
+        /// The mutant as a kernel table.
+        pub fn kernels(self) -> Kernels {
+            fn table<const M: u8>() -> Kernels {
+                let bias: BiasKernel = |a, lda, m, k, b, x, xs, out, os, n| {
+                    reduce::<M>(a, lda, m, k, Store::Bias(b), x, xs, out, os, n)
+                };
+                let acc: AccKernel = |a, lda, m, k, x, xs, out, os, n| {
+                    reduce::<M>(a, lda, m, k, Store::Acc, x, xs, out, os, n)
+                };
+                let seeded: AccKernel = |a, lda, m, k, x, xs, out, os, n| {
+                    reduce::<M>(a, lda, m, k, Store::Seeded, x, xs, out, os, n)
+                };
+                Kernels { bias, acc, seeded }
+            }
+            match self {
+                Mutant::SwappedAccumulators => table::<SWAPPED>(),
+                Mutant::SplitK => table::<SPLIT_K>(),
+                Mutant::MulAdd => table::<MUL_ADD>(),
+                Mutant::SeedFromZero => table::<SEED_FROM_ZERO>(),
+            }
+        }
+    }
+
+    const SWAPPED: u8 = 0;
+    const SPLIT_K: u8 = 1;
+    const MUL_ADD: u8 = 2;
+    const SEED_FROM_ZERO: u8 = 3;
+
+    #[derive(Clone, Copy)]
+    enum Store<'a> {
+        Bias(&'a [f64]),
+        Acc,
+        Seeded,
+    }
+
+    /// The kernels' scalar reduction with mutant `M`'s defect.
+    #[allow(clippy::too_many_arguments)]
+    fn reduce<const M: u8>(
+        a: &[f64],
+        lda: usize,
+        m: usize,
+        k: usize,
+        store: Store<'_>,
+        x: &[f64],
+        x_stride: usize,
+        out: &mut [f64],
+        out_stride: usize,
+        n: usize,
+    ) {
+        for r in 0..m {
+            for c in 0..n {
+                let slot = r * out_stride + c;
+                let preload = match store {
+                    Store::Bias(b) => b[r],
+                    Store::Acc | Store::Seeded => out[slot],
+                };
+                let chained = match store {
+                    Store::Seeded => M != SEED_FROM_ZERO,
+                    Store::Bias(_) | Store::Acc => M == SWAPPED,
+                };
+                let mut acc = if chained { preload } else { 0.0 };
+                let mut upper = 0.0;
+                for j in 0..k {
+                    let (w, v) = (a[r * lda + j], x[j * x_stride + c]);
+                    if M == MUL_ADD {
+                        acc = w.mul_add(v, acc);
+                    } else if M == SPLIT_K && 2 * j >= k {
+                        upper += w * v;
+                    } else {
+                        acc += w * v;
+                    }
+                }
+                if M == SPLIT_K {
+                    acc += upper;
+                }
+                out[slot] = if chained { acc } else { preload + acc };
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::mutants::Mutant;
     use super::*;
 
     /// The scalar reference: `Param::matvec_into`'s op order per column.
@@ -481,6 +747,8 @@ mod tests {
             .collect()
     }
 
+    /// Values in [-2, 2): nonzero in practice, so no bias, seed or
+    /// product hides an op-order defect by being zero.
     fn fill(seed: u64, len: usize) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         (0..len)
@@ -491,10 +759,18 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn gemm_bias_matches_per_column_matvec_bitwise() {
-        // Exercise lane-multiple, remainder, and singleton widths, with
-        // row counts straddling the ROW_BLOCK tiles.
+    fn same_bits(got: f64, want: f64, at: &str) -> Result<(), String> {
+        if got.to_bits() == want.to_bits() {
+            Ok(())
+        } else {
+            Err(format!("{at}: {got:e} vs {want:e}"))
+        }
+    }
+
+    /// `bias` against the per-column reference over lane-multiple,
+    /// remainder and singleton widths and row counts straddling the
+    /// `ROW_BLOCK` tiles; masked lanes beyond `n` stay untouched.
+    fn check_bias(kn: &Kernels) -> Result<(), String> {
         for &n in &[1usize, 7, 8, 9, 24, 61] {
             for &m in &[1usize, 3, 4, 5, 8, 11] {
                 let (k, lda) = (11usize, 13usize); // lda > k: fused-row sub-view
@@ -503,47 +779,52 @@ mod tests {
                 let bias = fill(2, m);
                 let x = fill(3, k * stride);
                 let mut out = vec![f64::NAN; m * stride];
-                gemm_bias(&a, lda, m, k, &bias, &x, stride, &mut out, stride, n);
+                (kn.bias)(&a, lda, m, k, &bias, &x, stride, &mut out, stride, n);
                 for c in 0..n {
                     let col: Vec<f64> = (0..k).map(|j| x[j * stride + c]).collect();
                     let want = matvec_ref(&a, lda, m, k, &col);
                     for r in 0..m {
-                        let got = out[r * stride + c];
-                        let expect = bias[r] + want[r];
-                        assert_eq!(got.to_bits(), expect.to_bits(), "n={n} m={m} r={r} c={c}");
+                        let at = format!("bias n={n} m={m} r={r} c={c}");
+                        same_bits(out[r * stride + c], bias[r] + want[r], &at)?;
                     }
                 }
-                // Masked lanes beyond n stay untouched.
                 for r in 0..m {
                     for c in n..stride {
-                        assert!(out[r * stride + c].is_nan(), "lane {c} written at n={n}");
+                        if !out[r * stride + c].is_nan() {
+                            return Err(format!("lane {c} written at n={n}"));
+                        }
                     }
                 }
             }
         }
+        Ok(())
     }
 
-    #[test]
-    fn gemm_acc_accumulates_on_existing_out_bitwise() {
+    /// `acc` adds one ascending-`j` sum to a nonzero `out`.
+    fn check_acc(kn: &Kernels) -> Result<(), String> {
         let (m, k, n) = (6usize, 9usize, 17usize);
         let a = fill(4, m * k);
         let x = fill(5, k * n);
         let base = fill(6, m * n);
         let mut out = base.clone();
-        gemm_acc(&a, k, m, k, &x, n, &mut out, n, n);
+        (kn.acc)(&a, k, m, k, &x, n, &mut out, n, n);
         for c in 0..n {
             let col: Vec<f64> = (0..k).map(|j| x[j * n + c]).collect();
             let want = matvec_ref(&a, k, m, k, &col);
             for r in 0..m {
-                let expect = base[r * n + c] + want[r];
-                assert_eq!(out[r * n + c].to_bits(), expect.to_bits(), "r={r} c={c}");
+                same_bits(
+                    out[r * n + c],
+                    base[r * n + c] + want[r],
+                    &format!("acc r={r} c={c}"),
+                )?;
             }
         }
+        Ok(())
     }
 
-    #[test]
-    fn two_pass_bias_then_acc_matches_fused_lstm_reduction() {
-        // (bias + w·x) + u·h with two accumulators, per column.
+    /// `bias` then `acc` reproduce the fused LSTM reduction
+    /// `(bias + w·x) + u·h`, two accumulators per element.
+    fn check_two_pass(kn: &Kernels) -> Result<(), String> {
         let (m, kw, ku, n) = (8usize, 6usize, 8usize, 10usize);
         let lda = kw + ku; // fused rows [w_row | u_row]
         let rows = fill(7, m * lda);
@@ -551,8 +832,8 @@ mod tests {
         let xp = fill(9, kw * n);
         let hp = fill(10, ku * n);
         let mut out = vec![0.0; m * n];
-        gemm_bias(&rows, lda, m, kw, &bias, &xp, n, &mut out, n, n);
-        gemm_acc(&rows[kw..], lda, m, ku, &hp, n, &mut out, n, n);
+        (kn.bias)(&rows, lda, m, kw, &bias, &xp, n, &mut out, n, n);
+        (kn.acc)(&rows[kw..], lda, m, ku, &hp, n, &mut out, n, n);
         for c in 0..n {
             for r in 0..m {
                 let row = &rows[r * lda..(r + 1) * lda];
@@ -567,7 +848,98 @@ mod tests {
                     acc += w * hp[j * n + c];
                 }
                 z += acc;
-                assert_eq!(out[r * n + c].to_bits(), z.to_bits(), "r={r} c={c}");
+                same_bits(out[r * n + c], z, &format!("two-pass r={r} c={c}"))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `seeded` equals the in-place loop `for j { out += a·x }` from
+    /// nonzero seeds, across quad tiles, single tiles and remainders.
+    fn check_seeded(kn: &Kernels) -> Result<(), String> {
+        for &(m, k, n) in &[
+            (96usize, 160usize, 24usize),
+            (5, 13, 41),
+            (4, 3, 8),
+            (1, 7, 3),
+        ] {
+            let a = fill(11, m * k);
+            let x = fill(12, k * n);
+            let seed = fill(13, m * n);
+            let mut out = seed.clone();
+            (kn.seeded)(&a, k, m, k, &x, n, &mut out, n, n);
+            for r in 0..m {
+                for c in 0..n {
+                    let mut want = seed[r * n + c];
+                    for j in 0..k {
+                        want += a[r * k + j] * x[j * n + c];
+                    }
+                    same_bits(
+                        out[r * n + c],
+                        want,
+                        &format!("seeded {m}x{k}x{n} r={r} c={c}"),
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check_all(kn: &Kernels) -> Result<(), String> {
+        check_bias(kn)?;
+        check_acc(kn)?;
+        check_two_pass(kn)?;
+        check_seeded(kn)
+    }
+
+    #[test]
+    fn gemm_bias_matches_per_column_matvec_bitwise() {
+        check_bias(&KERNELS).unwrap();
+    }
+
+    #[test]
+    fn gemm_acc_accumulates_on_existing_out_bitwise() {
+        check_acc(&KERNELS).unwrap();
+    }
+
+    #[test]
+    fn two_pass_bias_then_acc_matches_fused_lstm_reduction() {
+        check_two_pass(&KERNELS).unwrap();
+    }
+
+    #[test]
+    fn gemm_seeded_matches_in_place_accumulation_bitwise() {
+        check_seeded(&KERNELS).unwrap();
+    }
+
+    #[test]
+    fn every_mutant_fails_the_bit_identity_checks() {
+        for mutant in Mutant::ALL {
+            assert!(
+                check_all(&mutant.kernels()).is_err(),
+                "{mutant:?} passes every kernel bit-identity check"
+            );
+        }
+    }
+
+    #[test]
+    fn mutants_are_within_ulps_of_the_kernels() {
+        // A defect the checks catch only because it is grossly wrong would
+        // not test their precision: every mutant must stay close.
+        let (m, k, n) = (9usize, 40usize, 11usize);
+        let a = fill(30, m * k);
+        let x = fill(31, k * n);
+        let bias = fill(32, m);
+        let mut real = vec![0.0; m * n];
+        gemm_bias(&a, k, m, k, &bias, &x, n, &mut real, n, n);
+        for mutant in Mutant::ALL {
+            let mut got = vec![0.0; m * n];
+            (mutant.kernels().bias)(&a, k, m, k, &bias, &x, n, &mut got, n, n);
+            for (g, r) in got.iter().zip(&real) {
+                assert!(
+                    (g - r).abs() <= 1e-12 * (1.0 + r.abs()),
+                    "{mutant:?}: {g} vs {r}"
+                );
             }
         }
     }
@@ -583,12 +955,17 @@ mod tests {
         let mut dispatched = vec![0.0; m * n];
         let mut portable = vec![0.0; m * n];
         gemm_bias(&a, k, m, k, &bias, &x, n, &mut dispatched, n, n);
-        gemm_impl_f64(&a, k, m, k, Some(&bias), &x, n, &mut portable, n, n);
+        gemm_impl_f64::<false>(&a, k, m, k, Some(&bias), &x, n, &mut portable, n, n);
         for (d, p) in dispatched.iter().zip(&portable) {
             assert_eq!(d.to_bits(), p.to_bits());
         }
         gemm_acc(&a, k, m, k, &x, n, &mut dispatched, n, n);
-        gemm_impl_f64(&a, k, m, k, None, &x, n, &mut portable, n, n);
+        gemm_impl_f64::<false>(&a, k, m, k, None, &x, n, &mut portable, n, n);
+        for (d, p) in dispatched.iter().zip(&portable) {
+            assert_eq!(d.to_bits(), p.to_bits());
+        }
+        gemm_seeded(&a, k, m, k, &x, n, &mut dispatched, n, n);
+        gemm_impl_f64::<true>(&a, k, m, k, None, &x, n, &mut portable, n, n);
         for (d, p) in dispatched.iter().zip(&portable) {
             assert_eq!(d.to_bits(), p.to_bits());
         }
@@ -602,7 +979,7 @@ mod tests {
             let mut dispatched = base.clone();
             let mut portable = base;
             gemm_acc(&a, k, 1, k, &x, n, &mut dispatched, n, n);
-            gemm_impl_f64(&a, k, 1, k, None, &x, n, &mut portable, n, n);
+            gemm_impl_f64::<false>(&a, k, 1, k, None, &x, n, &mut portable, n, n);
             for (d, p) in dispatched.iter().zip(&portable) {
                 assert_eq!(d.to_bits(), p.to_bits(), "m=1 n={n}");
             }

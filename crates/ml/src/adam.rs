@@ -30,8 +30,12 @@ pub struct Adam {
     beta2: f64,
     eps: f64,
     t: u64,
-    m: Vec<Vec<f64>>,
-    v: Vec<Vec<f64>>,
+    /// Length of each parameter tensor, fixed by the first step.
+    lens: Vec<usize>,
+    /// First and second moments of every tensor, concatenated in
+    /// parameter order.
+    m: Vec<f64>,
+    v: Vec<f64>,
     grad_clip: f64,
 }
 
@@ -51,6 +55,7 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
+            lens: Vec::new(),
             m: Vec::new(),
             v: Vec::new(),
             grad_clip: 5.0,
@@ -71,11 +76,17 @@ impl Adam {
     ///
     /// Panics if the parameter list's shapes change between calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
+        if self.t == 0 {
+            self.lens = params.iter().map(|p| p.len()).collect();
+            let total = self.lens.iter().sum();
+            self.m = vec![0.0; total];
+            self.v = vec![0.0; total];
         }
-        assert_eq!(self.m.len(), params.len(), "parameter list changed shape");
+        assert_eq!(
+            self.lens.len(),
+            params.len(),
+            "parameter list changed shape"
+        );
         self.t += 1;
 
         // Global-norm gradient clipping.
@@ -97,14 +108,18 @@ impl Adam {
 
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let mut base = 0;
         for (i, p) in params.iter_mut().enumerate() {
-            assert_eq!(self.m[i].len(), p.len(), "parameter {i} changed shape");
+            assert_eq!(self.lens[i], p.len(), "parameter {i} changed shape");
+            let m = &mut self.m[base..base + p.len()];
+            let v = &mut self.v[base..base + p.len()];
+            base += p.len();
             for j in 0..p.len() {
                 let g = p.grad[j] * scale;
-                self.m[i][j] = self.beta1 * self.m[i][j] + (1.0 - self.beta1) * g;
-                self.v[i][j] = self.beta2 * self.v[i][j] + (1.0 - self.beta2) * g * g;
-                let m_hat = self.m[i][j] / bc1;
-                let v_hat = self.v[i][j] / bc2;
+                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g;
+                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g * g;
+                let m_hat = m[j] / bc1;
+                let v_hat = v[j] / bc2;
                 p.value[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }

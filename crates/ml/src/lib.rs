@@ -11,14 +11,16 @@
 //!
 //! Components:
 //!
-//! - [`lstm::LstmLayer`] — a full LSTM cell with backpropagation through
-//!   time;
+//! - [`lstm::LstmLayer`] — an LSTM cell;
 //! - [`dense::Dense`] and [`dense::Activation`] — fully connected layers
 //!   with Sigmoid / PReLU (learnable slope) / linear activations;
 //! - [`adam::Adam`] — the Adam optimizer;
 //! - [`network::LstmRegressor`] — the assembled sequence-to-one regression
 //!   network (2x LSTM → sigmoid FC → 2x PReLU FC → linear head), with
-//!   training, windowed inference and text (de)serialization;
+//!   training, windowed inference and text (de)serialization. Training
+//!   runs each 8-sample Adam group as lanes of one batched, allocation-free
+//!   backpropagation through time over `pidpiper_math::gemm` (the private
+//!   `train` module), bit-identical to training one sample at a time;
 //! - [`stream::StreamingRegressor`] — the compiled, zero-allocation
 //!   streaming form of the network (fused k-major LSTM gate blocks run as
 //!   single-row `pidpiper_math::gemm` products, caller-owned
@@ -54,6 +56,7 @@ pub mod normalize;
 pub mod param;
 pub mod selection;
 pub mod stream;
+mod train;
 
 pub use adam::Adam;
 pub use batch::{BatchScratch, BatchedStreamingRegressor};

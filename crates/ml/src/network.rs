@@ -10,9 +10,16 @@ use crate::lstm::{LstmLayer, LstmState};
 use crate::normalize::Normalizer;
 use crate::param::Param;
 use crate::stream::{PredictError, StreamingRegressor};
+use crate::train::{Net, TrainArena, GROUP};
+use pidpiper_math::gemm::{self, Kernels};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
+
+/// Trainable tensors of the network: three per LSTM layer, two for the
+/// sigmoid FC and the head, three (with the slopes) per PReLU FC.
+const PARAMS: usize = 16;
 
 /// Network hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,36 +192,20 @@ impl LstmRegressor {
         }
     }
 
-    /// Forward pass through the full stack for one normalized window.
-    /// Caches for backprop. Returns the normalized prediction.
-    fn forward_train(&mut self, window: &[Vec<f64>]) -> Vec<f64> {
-        let h1 = self.lstm1.forward_seq(window);
-        let h2 = self.lstm2.forward_seq(&h1);
-        // Dataset windows are never empty; an empty one maps to the zero
-        // hidden state rather than a panic.
-        let last = h2
-            .last()
-            .cloned()
-            .unwrap_or_else(|| vec![0.0; self.config.hidden]);
-        let s = self.fc_sigmoid.forward(&last);
-        let p1 = self.fc_prelu1.forward(&s);
-        let p2 = self.fc_prelu2.forward(&p1);
-        self.head.forward(&p2)
-    }
-
-    /// Backward pass for the cached forward, with `dL/dy_hat`.
-    fn backward_train(&mut self, dy: &[f64], window_len: usize) {
-        let dp2 = self.head.backward(dy);
-        let dp1 = self.fc_prelu2.backward(&dp2);
-        let ds = self.fc_prelu1.backward(&dp1);
-        let dlast = self.fc_sigmoid.backward(&ds);
-        // Only the final timestep of lstm2 receives external gradient.
-        let mut dh2 = vec![vec![0.0; self.config.hidden]; window_len];
-        if let Some(slot) = dh2.last_mut() {
-            *slot = dlast;
+    /// Mutable views of the trained layers for the group step.
+    pub(crate) fn net(&mut self) -> Net<'_> {
+        Net {
+            lstm1: &mut self.lstm1,
+            lstm2: &mut self.lstm2,
+            dense: [
+                &mut self.fc_sigmoid,
+                &mut self.fc_prelu1,
+                &mut self.fc_prelu2,
+                &mut self.head,
+            ],
+            normalizer: &self.normalizer,
+            target_normalizer: &self.target_normalizer,
         }
-        let dh1 = self.lstm2.backward_seq(&dh2);
-        let _ = self.lstm1.backward_seq(&dh1);
     }
 
     fn zero_grads(&mut self) {
@@ -223,34 +214,69 @@ impl LstmRegressor {
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = Vec::new();
-        ps.extend(self.lstm1.params_mut());
-        ps.extend(self.lstm2.params_mut());
-        ps.extend(self.fc_sigmoid.params_mut());
-        ps.extend(self.fc_prelu1.params_mut());
-        ps.extend(self.fc_prelu2.params_mut());
-        ps.extend(self.head.params_mut());
-        ps
+    /// Every trainable tensor, in serialization (and Adam) order.
+    pub(crate) fn params_mut(&mut self) -> [&mut Param; PARAMS] {
+        let (l1, l2) = (&mut self.lstm1, &mut self.lstm2);
+        let (s, p1, p2, h) = (
+            &mut self.fc_sigmoid,
+            &mut self.fc_prelu1,
+            &mut self.fc_prelu2,
+            &mut self.head,
+        );
+        [
+            &mut l1.w,
+            &mut l1.u,
+            &mut l1.b,
+            &mut l2.w,
+            &mut l2.u,
+            &mut l2.b,
+            &mut s.w,
+            &mut s.b,
+            &mut p1.w,
+            &mut p1.b,
+            &mut p1.alpha,
+            &mut p2.w,
+            &mut p2.b,
+            &mut p2.alpha,
+            &mut h.w,
+            &mut h.b,
+        ]
     }
 
     /// Immutable parameter views, in the same order as `params_mut`.
-    fn params(&self) -> Vec<&Param> {
-        let mut ps = Vec::new();
-        ps.extend(self.lstm1.params());
-        ps.extend(self.lstm2.params());
-        ps.extend(self.fc_sigmoid.params());
-        ps.extend(self.fc_prelu1.params());
-        ps.extend(self.fc_prelu2.params());
-        ps.extend(self.head.params());
-        ps
+    pub(crate) fn params(&self) -> [&Param; PARAMS] {
+        let (l1, l2) = (&self.lstm1, &self.lstm2);
+        let (s, p1, p2, h) = (
+            &self.fc_sigmoid,
+            &self.fc_prelu1,
+            &self.fc_prelu2,
+            &self.head,
+        );
+        [
+            &l1.w, &l1.u, &l1.b, &l2.w, &l2.u, &l2.b, &s.w, &s.b, &p1.w, &p1.b, &p1.alpha, &p2.w,
+            &p2.b, &p2.alpha, &h.w, &h.b,
+        ]
     }
 
     /// Trains with Adam on MSE loss. Normalizers must already be fitted
-    /// (or left as identity deliberately). Mini-batch size 1 with gradient
-    /// accumulation over `batch` samples.
+    /// (or left as identity deliberately). Each epoch shuffles the
+    /// samples and takes one Adam step per group of 8 (the last group may
+    /// be smaller), on the gradient summed over the group.
+    ///
+    /// The group's samples run as lanes of one batched forward and
+    /// backward pass (the crate's `train` module), bit-identical to
+    /// running them one at a time. Apart from its bookkeeping (the sample
+    /// order, the loss curve, the optimizer moments and one working
+    /// arena) the call allocates nothing, however many samples and epochs
+    /// it runs.
     ///
     /// Returns a [`TrainReport`] with per-epoch training MSE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset's window differs from the network's, or if
+    /// a sample's feature or target dimension differs from the
+    /// configuration.
     pub fn train(
         &mut self,
         ds: &WindowedDataset,
@@ -258,58 +284,34 @@ impl LstmRegressor {
         lr: f64,
         shuffle_seed: u64,
     ) -> TrainReport {
+        self.train_with(ds, epochs, lr, shuffle_seed, &gemm::KERNELS)
+    }
+
+    /// [`LstmRegressor::train`] on the given GEMM kernels.
+    fn train_with(
+        &mut self,
+        ds: &WindowedDataset,
+        epochs: usize,
+        lr: f64,
+        shuffle_seed: u64,
+        kernels: &Kernels,
+    ) -> TrainReport {
         assert_eq!(
             ds.window(),
             self.config.window,
             "dataset window must match network window"
         );
         let mut opt = Adam::new(lr);
-        let batch = 8;
         let mut order: Vec<usize> = (0..ds.len()).collect();
         let mut rng = StdRng::seed_from_u64(shuffle_seed);
         let mut train_mse = Vec::with_capacity(epochs);
-
-        // Pre-normalize every sample once.
-        let norm_samples: Vec<(Vec<Vec<f64>>, Vec<f64>)> = ds
-            .samples()
-            .iter()
-            .map(|s| {
-                (
-                    s.window.iter().map(|x| self.normalizer.transform(x)).collect(),
-                    self.target_normalizer.transform(&s.target),
-                )
-            })
-            .collect();
-
+        let mut arena = TrainArena::new(&self.config);
         for _epoch in 0..epochs {
-            use rand::seq::SliceRandom;
             order.shuffle(&mut rng);
             let mut epoch_se = 0.0;
-            let mut since_step = 0;
             self.zero_grads();
-            for &idx in &order {
-                let (window, target) = &norm_samples[idx];
-                let y = self.forward_train(window);
-                let dy: Vec<f64> = y
-                    .iter()
-                    .zip(target)
-                    .map(|(yi, ti)| (yi - ti) / self.config.output_dim as f64)
-                    .collect();
-                epoch_se += y
-                    .iter()
-                    .zip(target)
-                    .map(|(yi, ti)| (yi - ti) * (yi - ti))
-                    .sum::<f64>()
-                    / self.config.output_dim as f64;
-                self.backward_train(&dy, window.len());
-                since_step += 1;
-                if since_step == batch {
-                    opt.step(&mut self.params_mut());
-                    self.zero_grads();
-                    since_step = 0;
-                }
-            }
-            if since_step > 0 {
+            for group in order.chunks(GROUP) {
+                arena.group_step(&mut self.net(), ds, group, &mut epoch_se, kernels);
                 opt.step(&mut self.params_mut());
                 self.zero_grads();
             }
@@ -559,5 +561,52 @@ mod tests {
                 expected: 1
             })
         );
+    }
+
+    /// The deployed 24/24/20 network (on 5 features, 3 outputs) trained
+    /// for one epoch on 31 windows — three full groups and a ragged one
+    /// of 7 — on the given kernels: FNV of the weights and the loss curve.
+    fn deployed_case_digest(kernels: &Kernels) -> u64 {
+        let config = RegressorConfig::standard(5, 3);
+        let len = 31 + config.window - 1;
+        let inputs: Vec<Vec<f64>> = (0..len)
+            .map(|t| {
+                (0..5)
+                    .map(|f| ((7 * t + 3 * f) as f64 * 0.37).sin())
+                    .collect()
+            })
+            .collect();
+        let targets: Vec<Vec<f64>> = (0..len)
+            .map(|t| {
+                (0..3)
+                    .map(|o| inputs[t][o] + 0.5 * inputs[t.saturating_sub(2)][o + 1])
+                    .collect()
+            })
+            .collect();
+        let ds = WindowedDataset::from_series(&inputs, &targets, config.window);
+        let mut model = LstmRegressor::new(config, 17);
+        model.fit_normalizers(&ds);
+        let report = model.train_with(&ds, 1, 0.01, 3, kernels);
+        let mut bytes = model.to_text().into_bytes();
+        for m in &report.train_mse {
+            bytes.extend_from_slice(&m.to_bits().to_le_bytes());
+        }
+        crate::fnv64(&bytes)
+    }
+
+    /// Captured from the per-sample backpropagation-through-time trainer.
+    const DEPLOYED_CASE_GOLDEN: u64 = 0x1aba_6f53_4bf6_f602;
+
+    #[test]
+    fn training_equivalence_rejects_every_gemm_mutant() {
+        use pidpiper_math::gemm::mutants::Mutant;
+        assert_eq!(deployed_case_digest(&gemm::KERNELS), DEPLOYED_CASE_GOLDEN);
+        for mutant in Mutant::ALL {
+            assert_ne!(
+                deployed_case_digest(&mutant.kernels()),
+                DEPLOYED_CASE_GOLDEN,
+                "training on {mutant:?} reproduces the golden weights"
+            );
+        }
     }
 }

@@ -112,39 +112,6 @@ impl Param {
             out[r] += acc;
         }
     }
-
-    /// Transposed matrix-vector product `W^T d` accumulated into `out`
-    /// (length `cols`); used for backpropagating through a linear map.
-    pub fn matvec_t_into(&self, d: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(d.len(), self.rows);
-        debug_assert_eq!(out.len(), self.cols);
-        for r in 0..self.rows {
-            let row = &self.value[r * self.cols..(r + 1) * self.cols];
-            let dr = d[r];
-            if pidpiper_math::is_zero(dr) {
-                continue;
-            }
-            for (c, w) in row.iter().enumerate() {
-                out[c] += w * dr;
-            }
-        }
-    }
-
-    /// Accumulates the outer-product gradient `d x^T` into `grad`.
-    pub fn accumulate_outer(&mut self, d: &[f64], x: &[f64]) {
-        debug_assert_eq!(d.len(), self.rows);
-        debug_assert_eq!(x.len(), self.cols);
-        for r in 0..self.rows {
-            let dr = d[r];
-            if pidpiper_math::is_zero(dr) {
-                continue;
-            }
-            let row = &mut self.grad[r * self.cols..(r + 1) * self.cols];
-            for (g, xi) in row.iter_mut().zip(x) {
-                *g += dr * xi;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,24 +135,6 @@ mod tests {
         let mut out = vec![10.0];
         p.matvec_into(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![13.0]);
-    }
-
-    #[test]
-    fn transpose_matvec() {
-        let mut p = Param::zeros(2, 3);
-        p.value = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut out = vec![0.0; 3];
-        p.matvec_t_into(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn outer_product_gradient() {
-        let mut p = Param::zeros(2, 2);
-        p.accumulate_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(p.grad, vec![3.0, 4.0, 6.0, 8.0]);
-        p.zero_grad();
-        assert_eq!(p.grad, vec![0.0; 4]);
     }
 
     #[test]

@@ -54,14 +54,20 @@ use std::fmt;
 /// Transposes a row-major `[rows x cols]` matrix into a row-major
 /// `[cols x rows]` one. Copies only, so the values keep their bits.
 fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    debug_assert_eq!(src.len(), rows * cols);
     let mut dst = vec![0.0; rows * cols];
+    transpose_into(src, rows, cols, &mut dst);
+    dst
+}
+
+/// [`transpose`] into a caller-owned buffer of `rows * cols` values.
+pub(crate) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), rows * cols);
     for r in 0..rows {
         for c in 0..cols {
             dst[c * rows + r] = src[r * cols + c];
         }
     }
-    dst
 }
 
 /// `out = bias + x^T · cols` over one k-major block: `bias` preloaded,

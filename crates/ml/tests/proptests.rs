@@ -1,5 +1,7 @@
 //! Property-based tests for the ML substrate.
 
+use pidpiper_math::gemm::{gemm_acc, gemm_seeded};
+use pidpiper_ml::lstm::LstmState;
 use pidpiper_ml::{Activation, Dense, LstmLayer, Normalizer, WindowedDataset};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -46,9 +48,11 @@ proptest! {
     ) {
         // h = o * tanh(c) with o in (0,1): |h| < 1 for any input magnitude.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut lstm = LstmLayer::new(2, 5, &mut rng);
-        for h in lstm.forward_seq(&xs) {
-            for v in h {
+        let lstm = LstmLayer::new(2, 5, &mut rng);
+        let mut state = LstmState::zeros(5);
+        for x in &xs {
+            state = lstm.infer_step(x, &state);
+            for &v in &state.h {
                 prop_assert!(v.abs() < 1.0);
                 prop_assert!(v.is_finite());
             }
@@ -108,5 +112,91 @@ proptest! {
         let total = ds.len();
         let (train, val) = ds.split(frac, seed);
         prop_assert_eq!(train.len() + val.len(), total);
+    }
+
+    // Training's GEMMs add every gradient term; the per-sample trainer's
+    // `Param::accumulate_outer` (weight gradients) and
+    // `Param::matvec_t_into` (input and recurrent gradients) skipped
+    // terms whose `d` was ±0.0. On finite inputs, with exact-zero rows of
+    // `d` and ±0.0 entries anywhere, both agree bit for bit — also when
+    // the gradient chain is split across two seeded calls, as the
+    // per-lane weight-gradient calls split it.
+    #[test]
+    fn dropping_the_zero_skip_is_bit_neutral(
+        (m, n, terms) in (1usize..7, 1usize..6, 1usize..12),
+        raw in prop::collection::vec((0u8..4, -1e3..1e3f64), 300..301),
+        zero_row in 0usize..7,
+        split in 0usize..12,
+    ) {
+        let value = |i: usize| {
+            let (sel, v) = raw[i % raw.len()];
+            match sel {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            }
+        };
+        // d as a GEMM operand: row r, term k; row `zero_row` is all zeros.
+        let mut d = vec![0.0; m * terms];
+        for r in 0..m {
+            for k in 0..terms {
+                d[r * terms + k] = if r == zero_row % m {
+                    if k % 2 == 0 { 0.0 } else { -0.0 }
+                } else {
+                    value(r * terms + k)
+                };
+            }
+        }
+        let x: Vec<f64> = (0..terms * n).map(|i| value(7 * i + 3)).collect();
+
+        // accumulate_outer, term by term, from a zeroed gradient.
+        let mut want = vec![0.0; m * n];
+        for k in 0..terms {
+            for r in 0..m {
+                let dr = d[r * terms + k];
+                if pidpiper_math::is_zero(dr) {
+                    continue;
+                }
+                for c in 0..n {
+                    want[r * n + c] += dr * x[k * n + c];
+                }
+            }
+        }
+        let mut got = vec![0.0; m * n];
+        gemm_seeded(&d, terms, m, terms, &x, n, &mut got, n, n);
+        let mut resumed = vec![0.0; m * n];
+        let cut = split.min(terms);
+        gemm_seeded(&d, terms, m, cut, &x, n, &mut resumed, n, n);
+        gemm_seeded(&d[cut..], terms, m, terms - cut, &x[cut * n..], n, &mut resumed, n, n);
+        for i in 0..m * n {
+            prop_assert_eq!(got[i].to_bits(), want[i].to_bits());
+            prop_assert_eq!(resumed[i].to_bits(), want[i].to_bits());
+        }
+
+        // matvec_t_into: out = Wᵀ·d0 from zero, W being `[m × n]` (here
+        // the first n columns of x's rows, reused as weights).
+        let w = &x[..m.min(terms) * n];
+        let rows = m.min(terms);
+        let d0: Vec<f64> = (0..rows).map(|r| d[r * terms]).collect();
+        let mut want = vec![0.0; n];
+        for r in 0..rows {
+            if pidpiper_math::is_zero(d0[r]) {
+                continue;
+            }
+            for c in 0..n {
+                want[c] += w[r * n + c] * d0[r];
+            }
+        }
+        let mut w_t = vec![0.0; n * rows];
+        for r in 0..rows {
+            for c in 0..n {
+                w_t[c * rows + r] = w[r * n + c];
+            }
+        }
+        let mut got = vec![0.0; n];
+        gemm_acc(&w_t, rows, n, rows, &d0, 1, &mut got, 1, 1);
+        for c in 0..n {
+            prop_assert_eq!(got[c].to_bits(), want[c].to_bits());
+        }
     }
 }

@@ -85,10 +85,6 @@ fn shipped_model_available() -> bool {
 
 #[test]
 fn trained_defense_detects_overt_gps_attack() {
-    if !shipped_model_available() {
-        eprintln!("[tests] skipping: requires the shipped full-scale model (run the bench harness once)");
-        return;
-    }
     let (_, mut defense) = quick_defense(RvId::ArduCopter, false);
     let plan = MissionPlan::straight_line(40.0, 5.0);
     let attack = MissionAttack::Scheduled(AttackPreset::GpsOvert.instantiate(8.0, (0.0, 0.0)));
