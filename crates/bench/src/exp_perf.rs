@@ -20,7 +20,7 @@
 //! The `batched` section measures the PR-10 fleet kernels: N sessions'
 //! per-tick inference fused into cache-blocked matrix–matrix products
 //! ([`BatchedStreamingRegressor`]), timed as ns per *vehicle*-tick at
-//! batch sizes 1/16/64/256 against the per-session streaming loop over
+//! batch sizes 1/7/16/52/64/256 against the per-session streaming loop over
 //! the same states and rows. Before each point is timed, both paths run
 //! the same ticks and every output **and** every LSTM state is compared
 //! with `f64::to_bits` — a divergence panics (nonzero exit from the
@@ -120,13 +120,15 @@ pub struct BatchPoint {
 pub struct BatchedPerf {
     /// Per-session streaming loop cost, ns per vehicle-tick.
     pub scalar_ns_per_vehicle_tick: f64,
-    /// Measured points at batch sizes 1 / 16 / 64 / 256, each gated on
+    /// Measured points at batch sizes 1 / 7 / 16 / 52 / 64 / 256, each gated on
     /// `to_bits` equality of outputs and states before timing.
     pub points: Vec<BatchPoint>,
 }
 
-/// Batch sizes the batched section measures.
-const BATCH_POINTS: [usize; 4] = [1, 16, 64, 256];
+/// Batch sizes the batched section measures. 7 and 52 are ragged widths
+/// (a short training group, a staggered fleet's replay chunk), whose
+/// last `n % 8` lanes run the GEMM's masked tile.
+const BATCH_POINTS: [usize; 6] = [1, 7, 16, 52, 64, 256];
 /// Lanes in the per-session scalar baseline loop.
 const SCALAR_LANES: usize = 64;
 /// Pre-normalized input rows cycled through the timed loops (prime, so
@@ -268,8 +270,8 @@ fn assert_batched_agrees(
     }
 }
 
-/// Runs the batched section: equality gates, scalar baseline and the four
-/// batch points.
+/// Runs the batched section: equality gates, scalar baseline and every
+/// batch point.
 fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     let set = FeatureSet::FfcPruned;
     let config = RegressorConfig::standard(set.dim(), ActuatorSignal::DIM);
@@ -485,7 +487,7 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
 impl PerfReport {
     /// Checks every value the report promises: positive shape and tick
     /// counts, positive finite latencies and ratios, no measured
-    /// allocation in the streaming loop, and the four batch points in
+    /// allocation in the streaming loop, and the six batch points in
     /// order.
     ///
     /// # Errors
@@ -677,7 +679,9 @@ mod tests {
                 scalar_ns_per_vehicle_tick: 3100.44,
                 points: vec![
                     point(1, 3400.06, 0.912),
+                    point(7, 1500.04, 2.0669),
                     point(16, 1200.5, 2.5837),
+                    point(52, 980.54, 3.1620),
                     point(64, 950.25, 3.2627),
                     point(256, 1010.0, 3.0697),
                 ],
@@ -721,8 +725,8 @@ mod tests {
             ("allocations_per_tick", |r| {
                 r.allocations_per_tick = Some(0.001)
             }),
-            ("batch points", |r| r.batched.points[3].batch = 128),
-            ("batch points", |r| r.batched.points.truncate(3)),
+            ("batch points", |r| r.batched.points[3].batch = 48),
+            ("batch points", |r| r.batched.points.truncate(5)),
         ];
         for (want, breaker) in cases {
             let mut r = fixed_report();

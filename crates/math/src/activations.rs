@@ -26,6 +26,18 @@
 //! activation call sites (scalar, batched, and BPTT) through this
 //! module.
 //!
+//! # Ragged lengths
+//!
+//! The slice kernels run whole chunks of [`crate::gemm::LANES`]
+//! elements (one 512-bit or two 256-bit registers), then the last
+//! `len % LANES` elements as one more chunk padded with zeros, so a
+//! 7-element slice is one vector, not seven scalar evaluations. A panel
+//! whose rows are only partly active (a training group of 7 lanes in a
+//! panel 140 wide, a fleet chunk of 52 lanes in one 64 wide) goes
+//! through [`apply_rows`], which gathers the rows' active lanes into one
+//! contiguous stack block per kernel call and scatters the results back.
+//! Neither changes an element's operations.
+//!
 //! # Accuracy and edge cases
 //!
 //! `exp` uses the standard reduction `x = k·ln2 + r` with `|r| ≤ ln2/2`:
@@ -43,8 +55,13 @@
 //!   returning `inf`/`0` — the saturated activation values are exactly
 //!   the limits (`1.0`, `±1.0`) well before the clamp engages.
 //! - `NaN` propagates: `clamp` keeps NaN, every polynomial step keeps
-//!   NaN, and the final scale multiply keeps NaN. The NaN-burst
-//!   bit-identity suite in `pidpiper-ml` leans on this.
+//!   NaN, and the final scale multiply keeps NaN. Which NaN comes out
+//!   depends on the code path (an operation on two NaNs returns either,
+//!   by operand order), so `fast_sigmoid` and `fast_tanh` return
+//!   [`f64::NAN`] for every NaN result, as the GEMM kernels store it (see
+//!   [`crate::gemm`], "NaN bits"). Every path therefore agrees on NaN
+//!   bits by construction; the NaN-burst bit-identity suite in
+//!   `pidpiper-ml` leans on this.
 //! - `fast_sigmoid` is strictly inside `[0, 1]` and `fast_tanh` inside
 //!   `[-1, 1]` (the closed endpoints are reached by rounding at
 //!   saturation, as with libm).
@@ -54,6 +71,8 @@
 // literal would parse to the same float but lose the provenance of the
 // coefficients against fdlibm and the minimax tables.
 #![allow(clippy::excessive_precision)]
+
+use crate::float::canonical_nan;
 
 /// Round-to-nearest shifter: `1.5 * 2^52`. Adding it to a f64 whose
 /// magnitude is below `2^51` forces rounding to an integer; the low
@@ -103,42 +122,73 @@ pub fn fast_exp(x: f64) -> f64 {
 }
 
 /// `1 / (1 + e^(-z))` via [`fast_exp`] — the logistic gate activation.
+/// A NaN result is always [`f64::NAN`] (see the module docs).
 #[inline(always)]
 pub fn fast_sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + fast_exp(-z))
+    canonical_nan(1.0 / (1.0 + fast_exp(-z)))
 }
 
 /// `tanh(z) = (e^(2z) - 1) / (e^(2z) + 1)` via [`fast_exp`].
 ///
 /// Absolute error ≲ 1e-14; relative error degrades toward `|z| → 0`
 /// (the `e^(2z) - 1` subtraction cancels), which is harmless at the
-/// model's tolerances. Saturates to exactly `±1.0` for `|z| ≳ 19`.
+/// model's tolerances. Saturates to exactly `±1.0` for `|z| ≳ 19`. A NaN
+/// result is always [`f64::NAN`].
 #[inline(always)]
 pub fn fast_tanh(z: f64) -> f64 {
     let t = fast_exp(2.0 * z.clamp(-20.0, 20.0));
-    (t - 1.0) / (t + 1.0)
+    canonical_nan((t - 1.0) / (t + 1.0))
 }
 
+/// Vector width of the slice kernels: a slice runs as whole `LANES`-wide
+/// chunks, and its last `len % LANES` elements as one more chunk padded
+/// with zeros, so no element runs a scalar epilogue.
+const LANES: usize = crate::gemm::LANES;
+
 macro_rules! slice_kernel {
-    ($t:ty, $scalar:ident, $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $pub_name:ident) => {
+    ($scalar:ident, $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $pub_name:ident) => {
         #[inline(always)]
-        fn $impl_name(xs: &mut [$t]) {
-            for v in xs.iter_mut() {
-                *v = $scalar(*v);
+        fn $impl_name(xs: &mut [f64]) {
+            let mut chunks = xs.chunks_exact_mut(LANES);
+            for chunk in &mut chunks {
+                for v in chunk {
+                    *v = $scalar(*v);
+                }
+            }
+            // The tail as one vector, copied in and out by fixed-length
+            // lane loops: a variable-length `copy_from_slice` compiles to
+            // a `memcpy` call and measured slower on short slices.
+            let tail = chunks.into_remainder();
+            let len = tail.len();
+            if len > 0 {
+                let mut padded = [0.0; LANES];
+                for l in 0..LANES {
+                    if l < len {
+                        padded[l] = tail[l];
+                    }
+                }
+                for v in &mut padded {
+                    *v = $scalar(*v);
+                }
+                for l in 0..LANES {
+                    if l < len {
+                        tail[l] = padded[l];
+                    }
+                }
             }
         }
 
         /// The portable loop recompiled with AVX2 enabled.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        fn $avx2_name(xs: &mut [$t]) {
+        fn $avx2_name(xs: &mut [f64]) {
             $impl_name(xs)
         }
 
         /// The portable loop recompiled with AVX-512F enabled.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
-        fn $avx512_name(xs: &mut [$t]) {
+        fn $avx512_name(xs: &mut [f64]) {
             $impl_name(xs)
         }
 
@@ -151,7 +201,7 @@ macro_rules! slice_kernel {
             "rows."
         )]
         #[inline]
-        pub fn $pub_name(xs: &mut [$t]) {
+        pub fn $pub_name(xs: &mut [f64]) {
             #[cfg(target_arch = "x86_64")]
             {
                 if std::arch::is_x86_feature_detected!("avx512f") {
@@ -171,39 +221,68 @@ macro_rules! slice_kernel {
 }
 
 slice_kernel!(
-    f64, fast_sigmoid,
+    fast_sigmoid,
     sigmoid_slice_impl, sigmoid_slice_avx2, sigmoid_slice_avx512,
     fast_sigmoid_slice
 );
 slice_kernel!(
-    f64, fast_tanh,
+    fast_tanh,
     tanh_slice_impl, tanh_slice_avx2, tanh_slice_avx512,
     fast_tanh_slice
 );
+
+/// Elements of the stack block [`apply_rows`] gathers short rows into.
+const GATHER: usize = 512;
+
 /// Applies a slice kernel to rows `rows` of a lane-major panel
 /// (`panel[row * width + lane]`), touching only the `active` leading
 /// lanes of each row.
 ///
 /// When the batch is full (`active == width`) the rows are contiguous
-/// and the kernel runs once over the whole block; ragged batches fall
-/// back to one call per row so masked lanes `active..width` are never
-/// read or written — the same masking contract as the GEMM kernels.
-/// Either shape applies the same per-element ops, so the results are
-/// bit-identical.
-pub fn apply_rows<T>(
-    panel: &mut [T],
+/// and the kernel runs once over the whole block. Otherwise the rows'
+/// active lanes are gathered into one contiguous stack block of up to
+/// 512 elements, the kernel runs once per block, and the results
+/// are scattered back, so a short row costs no call and no padded tail
+/// of its own. Masked lanes `active..width` are never read or written —
+/// the same masking contract as the GEMM kernels. Rows longer than half
+/// a block run one call each. Every shape applies the same per-element
+/// ops, so the results are bit-identical.
+pub fn apply_rows(
+    panel: &mut [f64],
     rows: core::ops::Range<usize>,
     width: usize,
     active: usize,
-    kernel: fn(&mut [T]),
+    kernel: fn(&mut [f64]),
 ) {
     assert!(active <= width, "active={active} exceeds width={width}");
     if active == width {
         kernel(&mut panel[rows.start * width..rows.end * width]);
-    } else {
+        return;
+    }
+    if active == 0 {
+        return;
+    }
+    let per_block = GATHER / active;
+    if per_block < 2 {
         for r in rows {
             kernel(&mut panel[r * width..r * width + active]);
         }
+        return;
+    }
+    let mut block = [0.0; GATHER];
+    let mut first = rows.start;
+    while first < rows.end {
+        let last = rows.end.min(first + per_block);
+        let used = (last - first) * active;
+        let gathered = block[..used].chunks_exact_mut(active);
+        for (r, dst) in (first..last).zip(gathered) {
+            dst.copy_from_slice(&panel[r * width..r * width + active]);
+        }
+        kernel(&mut block[..used]);
+        for (r, src) in (first..last).zip(block[..used].chunks_exact(active)) {
+            panel[r * width..r * width + active].copy_from_slice(src);
+        }
+        first = last;
     }
 }
 
@@ -274,6 +353,92 @@ mod tests {
         assert_eq!(fast_tanh(-1e6), -1.0);
         assert!(fast_exp(f64::INFINITY).is_finite());
         assert!(fast_exp(f64::NEG_INFINITY) >= 0.0);
+    }
+
+    /// Finite values in [-30, 30] mixed with ±NaN (two payloads each),
+    /// ±inf and ±0.
+    fn mixed(len: usize, salt: u64) -> Vec<f64> {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0077),
+            f64::from_bits(0xfff8_0000_0000_0099),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ];
+        let mut state = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pick = (state >> 33) as usize;
+                if pick.is_multiple_of(3) {
+                    specials[(pick / 3) % specials.len()]
+                } else {
+                    ((pick % 6001) as f64 - 3000.0) / 100.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_kernels_match_the_scalar_functions_at_every_length() {
+        // Whole chunks, the padded tail and slices shorter than a chunk;
+        // every NaN comes out as the one canonical NaN.
+        for len in 0..=40 {
+            let inputs = mixed(len, len as u64);
+            for (name, slice, scalar) in [
+                (
+                    "sigmoid",
+                    fast_sigmoid_slice as fn(&mut [f64]),
+                    fast_sigmoid as fn(f64) -> f64,
+                ),
+                ("tanh", fast_tanh_slice, fast_tanh),
+            ] {
+                let mut got = inputs.clone();
+                slice(&mut got);
+                for (i, (&g, &z)) in got.iter().zip(&inputs).enumerate() {
+                    let want = scalar(z);
+                    assert_eq!(g.to_bits(), want.to_bits(), "{name} len={len} i={i} z={z}");
+                    if want.is_nan() {
+                        assert_eq!(want.to_bits(), f64::NAN.to_bits(), "{name} z={z}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_rows_matches_one_call_per_row_and_leaves_masked_lanes() {
+        // Widths straddling the chunk width and the gather block (rows
+        // of 300 lanes fill one block each); rows 1..6 of 7.
+        let sentinel = f64::from_bits(0x7ff4_0000_0000_0abc);
+        for width in [1usize, 3, 8, 9, 20, 300] {
+            for active in 1..=width {
+                let panel = mixed(7 * width, (width * 1000 + active) as u64);
+                let mut got = panel.clone();
+                for row in got.chunks_mut(width) {
+                    row[active..].fill(sentinel);
+                }
+                let mut want = got.clone();
+                apply_rows(&mut got, 1..6, width, active, fast_tanh_slice);
+                for r in 1..6 {
+                    fast_tanh_slice(&mut want[r * width..r * width + active]);
+                }
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "width={width} active={active} row={} lane={}",
+                        i / width,
+                        i % width
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,6 +73,22 @@ pub fn is_zero(x: f64) -> bool {
     x.abs() <= 0.0
 }
 
+/// `x`, with every NaN replaced by the one quiet NaN [`f64::NAN`].
+///
+/// An operation on two NaNs returns one of them, and an invalid
+/// operation such as `inf · 0` returns the hardware's default NaN; which
+/// one a compiled loop yields depends on operand order. The GEMM and
+/// activation kernels store through this function, so their NaN bits are
+/// the same on every code path.
+#[inline(always)]
+pub(crate) fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 /// Whether `a` and `b` agree to within an absolute tolerance `eps`.
 ///
 /// The NaN-safe replacement for float `==` in assertions and convergence

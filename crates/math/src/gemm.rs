@@ -37,9 +37,27 @@
 //! over `j`, so blocking changes no f64 operation — it only gives the CPU
 //! `ROW_BLOCK` independent chains to overlap the FP-add latency with (a
 //! single chain caps the whole kernel at one vector-add per ~4 cycles).
-//! Remainder rows (`m % ROW_BLOCK`) run one chain, remainder columns
-//! (`n % LANES`) one scalar accumulator per column — slower, still
-//! bit-identical.
+//! Remainder rows (`m % ROW_BLOCK`) run one chain. The remainder columns
+//! (`n % LANES`) run as one masked tile of the same `LANES`-wide shape,
+//! so a ragged width (a 7-sample training group, a 52-lane fleet chunk,
+//! the FFC's 4-wide head) runs the vector code of a full one. Each real
+//! lane of the masked tile keeps its own ascending-`j` chain; its lanes
+//! past `n` compute on whatever the panel holds in those columns (zeros
+//! past the panel's end) and are never stored. Lanes never mix, so
+//! masked columns cannot reach a real lane, and the tile width changes
+//! no element's operations.
+//!
+//! # NaN bits
+//!
+//! IEEE arithmetic fixes *whether* an element is NaN, not *which* NaN:
+//! an operation on two NaNs returns one of them, chosen by operand
+//! order, and an invalid operation (`inf · 0`, `inf − inf`) returns the
+//! hardware's default NaN. The compiler may order operands differently
+//! from one loop to the next, so the same column could get a different
+//! NaN sign in a full tile, in the masked tile or in the `m = 1` row. Every
+//! flavour therefore stores [`f64::NAN`] wherever its result is NaN
+//! (`float::canonical_nan`): one compare and select per stored
+//! element, none per multiply–add. Non-NaN bits are untouched.
 //!
 //! # Store flavours
 //!
@@ -87,11 +105,13 @@
 //! `n <= B` active columns in place; columns `n..B` are simply never read
 //! or written (masked lanes).
 
+use crate::float::canonical_nan;
+
 /// Column-block width of the micro-kernels.
 ///
 /// Eight f64 lanes span one 512-bit or two 256-bit vector registers; the
 /// accumulator tile fits in registers on every target we care about, and
-/// the remainder loop handles `n % LANES` columns scalar-wise.
+/// the last `n % LANES` columns run as one masked tile of this width.
 pub const LANES: usize = 8;
 
 /// Row-block height: independent accumulator chains per column block.
@@ -117,9 +137,132 @@ fn lanes_mut<T>(s: &mut [T], base: usize) -> &mut [T; LANES] {
     (&mut s[base..base + LANES]).try_into().expect("LANES-wide view")
 }
 
+/// Stores one tile row of accumulators into `o` (a whole [`LANES`] view,
+/// or the real lanes of the masked tile) in the kernel's store flavour,
+/// with every NaN replaced by [`f64::NAN`] (see the module docs).
+#[inline(always)]
+fn store<const SEEDED: bool>(o: &mut [f64], acc: &[f64; LANES], bias: Option<f64>) {
+    let (width, acc) = (o.len(), &acc[..o.len()]);
+    if SEEDED {
+        for l in 0..width {
+            o[l] = canonical_nan(acc[l]);
+        }
+        return;
+    }
+    match bias {
+        Some(b) => {
+            for l in 0..width {
+                o[l] = canonical_nan(b + acc[l]);
+            }
+        }
+        None => {
+            for l in 0..width {
+                o[l] = canonical_nan(o[l] + acc[l]);
+            }
+        }
+    }
+}
+
+/// One [`LANES`]-wide column tile from column `cc`: 4-row blocks, then
+/// single rows. A `MASKED` tile holds the last `width < LANES` columns
+/// and stores only those. Its lanes past `width` compute on whatever the
+/// panel holds there, or on zeros past the end of `x`, and are never
+/// stored; lanes never mix, so nothing reaches a real lane. Every real
+/// lane keeps its own ascending-`j` chain, so the tile width changes no
+/// element's operations.
+#[allow(clippy::too_many_arguments)] // the kernel's shape plus the tile's columns
+#[inline(always)]
+fn column_tile<const SEEDED: bool, const MASKED: bool>(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: Option<&[f64]>,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    cc: usize,
+    width: usize,
+) {
+    // A masked tile's last rows of `x` may have no whole LANES-wide view
+    // (the panel's final row can end right after its active columns);
+    // they are copied once, zero-padded. There are at most LANES - 1 of
+    // them: row `j` lacks a view only if (k-1-j)·x_stride < LANES - width.
+    let whole = if MASKED {
+        x.len()
+            .checked_sub(cc + LANES)
+            .map_or(0, |room| k.min(room / x_stride + 1))
+    } else {
+        k
+    };
+    debug_assert!(k - whole < LANES, "{} rows without a whole view", k - whole);
+    let mut tail = [[0.0; LANES]; LANES - 1];
+    for (j, t) in (whole..k).zip(&mut tail) {
+        let base = j * x_stride + cc;
+        t[..width].copy_from_slice(&x[base..base + width]);
+    }
+    let x_row = |j: usize| {
+        if MASKED && j >= whole {
+            tail[j - whole]
+        } else {
+            *lanes(x, j * x_stride + cc)
+        }
+    };
+    let seed = |out: &[f64], r: usize| {
+        let mut acc = [0.0; LANES];
+        if SEEDED {
+            let base = r * out_stride + cc;
+            acc[..width].copy_from_slice(&out[base..base + width]);
+        }
+        acc
+    };
+    let row_bias = |r: usize| bias.map(|b| b[r]);
+    let mut r = 0;
+    while r + ROW_BLOCK <= m {
+        let (b0, b1) = (r * lda, (r + 1) * lda);
+        let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
+        let r0 = &a[b0..b0 + k];
+        let r1 = &a[b1..b1 + k];
+        let r2 = &a[b2..b2 + k];
+        let r3 = &a[b3..b3 + k];
+        let mut acc0 = seed(out, r);
+        let mut acc1 = seed(out, r + 1);
+        let mut acc2 = seed(out, r + 2);
+        let mut acc3 = seed(out, r + 3);
+        for j in 0..k {
+            let xr = x_row(j);
+            let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
+            for l in 0..LANES {
+                acc0[l] += w0 * xr[l];
+                acc1[l] += w1 * xr[l];
+                acc2[l] += w2 * xr[l];
+                acc3[l] += w3 * xr[l];
+            }
+        }
+        for (i, acc) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
+            let o = (r + i) * out_stride + cc;
+            store::<SEEDED>(&mut out[o..o + width], acc, row_bias(r + i));
+        }
+        r += ROW_BLOCK;
+    }
+    while r < m {
+        let row = &a[r * lda..r * lda + k];
+        let mut acc = seed(out, r);
+        for (j, &w) in row.iter().enumerate() {
+            let xr = x_row(j);
+            for (a_l, &x_l) in acc.iter_mut().zip(&xr) {
+                *a_l += w * x_l;
+            }
+        }
+        let o = r * out_stride + cc;
+        store::<SEEDED>(&mut out[o..o + width], &acc, row_bias(r));
+        r += 1;
+    }
+}
+
 macro_rules! gemm_kernels {
     (
-        $t:ty, $tname:literal,
         $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $dispatch_name:ident,
         $bias_name:ident, $acc_name:ident, $seeded_name:ident
     ) => {
@@ -134,17 +277,18 @@ macro_rules! gemm_kernels {
         #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
         #[inline(always)]
         fn $impl_name<const SEEDED: bool>(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
+            bias: Option<&[f64]>,
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
+            let row_bias = |r: usize| bias.map(|b| b[r]);
             let mut cc = 0;
             // Quad-width column tiles first: 4 rows x 32 lanes keeps 16
             // accumulator vectors in flight (fits AVX-512's 32-register
@@ -160,7 +304,7 @@ macro_rules! gemm_kernels {
                     let r1 = &a[b1..b1 + k];
                     let r2 = &a[b2..b2 + k];
                     let r3 = &a[b3..b3 + k];
-                    let mut acc = [[0.0 as $t; LANES]; 16];
+                    let mut acc = [[0.0; LANES]; 16];
                     if SEEDED {
                         for q in 0..4 {
                             for i in 0..ROW_BLOCK {
@@ -184,31 +328,14 @@ macro_rules! gemm_kernels {
                     for q in 0..4 {
                         for i in 0..ROW_BLOCK {
                             let o = lanes_mut(out, (r + i) * out_stride + cc + q * LANES);
-                            let av = &acc[4 * q + i];
-                            if SEEDED {
-                                *o = *av;
-                                continue;
-                            }
-                            match bias {
-                                Some(b) => {
-                                    let br = b[r + i];
-                                    for l in 0..LANES {
-                                        o[l] = br + av[l];
-                                    }
-                                }
-                                None => {
-                                    for l in 0..LANES {
-                                        o[l] += av[l];
-                                    }
-                                }
-                            }
+                            store::<SEEDED>(o, &acc[4 * q + i], row_bias(r + i));
                         }
                     }
                     r += ROW_BLOCK;
                 }
                 while r < m {
                     let row = &a[r * lda..r * lda + k];
-                    let mut acc = [[0.0 as $t; LANES]; 4];
+                    let mut acc = [[0.0; LANES]; 4];
                     if SEEDED {
                         for (q, av) in acc.iter_mut().enumerate() {
                             *av = *lanes(out, r * out_stride + cc + q * LANES);
@@ -225,137 +352,25 @@ macro_rules! gemm_kernels {
                     }
                     for (q, av) in acc.iter().enumerate() {
                         let o = lanes_mut(out, r * out_stride + cc + q * LANES);
-                        if SEEDED {
-                            *o = *av;
-                            continue;
-                        }
-                        match bias {
-                            Some(b) => {
-                                let br = b[r];
-                                for (o_l, &a_l) in o.iter_mut().zip(av) {
-                                    *o_l = br + a_l;
-                                }
-                            }
-                            None => {
-                                for (o_l, &a_l) in o.iter_mut().zip(av) {
-                                    *o_l += a_l;
-                                }
-                            }
-                        }
+                        store::<SEEDED>(o, av, row_bias(r));
                     }
                     r += 1;
                 }
                 cc += 4 * LANES;
             }
-            // Single-width column tile for a remaining LANES-wide block.
+            // Single-width column tiles, then the last `n % LANES` columns
+            // as one masked tile of the same shape.
             while cc + LANES <= n {
-                let mut r = 0;
-                while r + ROW_BLOCK <= m {
-                    let (b0, b1) = (r * lda, (r + 1) * lda);
-                    let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
-                    let r0 = &a[b0..b0 + k];
-                    let r1 = &a[b1..b1 + k];
-                    let r2 = &a[b2..b2 + k];
-                    let r3 = &a[b3..b3 + k];
-                    let mut acc0 = [0.0 as $t; LANES];
-                    let mut acc1 = [0.0 as $t; LANES];
-                    let mut acc2 = [0.0 as $t; LANES];
-                    let mut acc3 = [0.0 as $t; LANES];
-                    if SEEDED {
-                        acc0 = *lanes(out, r * out_stride + cc);
-                        acc1 = *lanes(out, (r + 1) * out_stride + cc);
-                        acc2 = *lanes(out, (r + 2) * out_stride + cc);
-                        acc3 = *lanes(out, (r + 3) * out_stride + cc);
-                    }
-                    for j in 0..k {
-                        let xr = lanes(x, j * x_stride + cc);
-                        let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
-                        for l in 0..LANES {
-                            acc0[l] += w0 * xr[l];
-                            acc1[l] += w1 * xr[l];
-                            acc2[l] += w2 * xr[l];
-                            acc3[l] += w3 * xr[l];
-                        }
-                    }
-                    for (i, acc) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
-                        let o = lanes_mut(out, (r + i) * out_stride + cc);
-                        if SEEDED {
-                            *o = *acc;
-                            continue;
-                        }
-                        match bias {
-                            Some(b) => {
-                                let br = b[r + i];
-                                for l in 0..LANES {
-                                    o[l] = br + acc[l];
-                                }
-                            }
-                            None => {
-                                for l in 0..LANES {
-                                    o[l] += acc[l];
-                                }
-                            }
-                        }
-                    }
-                    r += ROW_BLOCK;
-                }
-                while r < m {
-                    let row = &a[r * lda..r * lda + k];
-                    let mut acc = if SEEDED {
-                        *lanes(out, r * out_stride + cc)
-                    } else {
-                        [0.0 as $t; LANES]
-                    };
-                    for (j, &w) in row.iter().enumerate() {
-                        let xr = lanes(x, j * x_stride + cc);
-                        for (a_l, &x_l) in acc.iter_mut().zip(xr) {
-                            *a_l += w * x_l;
-                        }
-                    }
-                    let o = lanes_mut(out, r * out_stride + cc);
-                    if SEEDED {
-                        *o = acc;
-                        r += 1;
-                        continue;
-                    }
-                    match bias {
-                        Some(b) => {
-                            let br = b[r];
-                            for (o_l, &a_l) in o.iter_mut().zip(&acc) {
-                                *o_l = br + a_l;
-                            }
-                        }
-                        None => {
-                            for (o_l, &a_l) in o.iter_mut().zip(&acc) {
-                                *o_l += a_l;
-                            }
-                        }
-                    }
-                    r += 1;
-                }
+                column_tile::<SEEDED, false>(
+                    a, lda, m, k, bias, x, x_stride, out, out_stride, cc, LANES,
+                );
                 cc += LANES;
             }
-            // Scalar remainder columns (n % LANES).
-            for c in cc..n {
-                for r in 0..m {
-                    let row = &a[r * lda..r * lda + k];
-                    let mut acc = if SEEDED {
-                        out[r * out_stride + c]
-                    } else {
-                        0.0 as $t
-                    };
-                    for (j, &w) in row.iter().enumerate() {
-                        acc += w * x[j * x_stride + c];
-                    }
-                    if SEEDED {
-                        out[r * out_stride + c] = acc;
-                        continue;
-                    }
-                    match bias {
-                        Some(b) => out[r * out_stride + c] = b[r] + acc,
-                        None => out[r * out_stride + c] += acc,
-                    }
-                }
+            if cc < n {
+                let width = n - cc;
+                column_tile::<SEEDED, true>(
+                    a, lda, m, k, bias, x, x_stride, out, out_stride, cc, width,
+                );
             }
         }
 
@@ -365,14 +380,14 @@ macro_rules! gemm_kernels {
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
         fn $avx2_name<const SEEDED: bool>(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
+            bias: Option<&[f64]>,
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -384,14 +399,14 @@ macro_rules! gemm_kernels {
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
         fn $avx512_name<const SEEDED: bool>(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
+            bias: Option<&[f64]>,
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -401,14 +416,14 @@ macro_rules! gemm_kernels {
         /// Selects the widest ISA variant the running CPU supports.
         #[allow(clippy::too_many_arguments)]
         fn $dispatch_name<const SEEDED: bool>(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
+            bias: Option<&[f64]>,
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -435,7 +450,7 @@ macro_rules! gemm_kernels {
         }
 
         #[doc = concat!(
-            "Panel product with bias preload (`", $tname, "`): for every ",
+            "Panel product with bias preload: for every ",
             "`r < m`, `c < n` sets `out[r * out_stride + c] = bias[r] + ",
             "Σ_j a[r * lda + j] * x[j * x_stride + c]` (ascending `j`, one ",
             "accumulator per element — see the module docs for the ",
@@ -448,14 +463,14 @@ macro_rules! gemm_kernels {
         /// `n` exceeds `x_stride` / `out_stride`.
         #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
         pub fn $bias_name(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            bias: &[$t],
-            x: &[$t],
+            bias: &[f64],
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -465,7 +480,7 @@ macro_rules! gemm_kernels {
         }
 
         #[doc = concat!(
-            "Accumulating panel product (`", $tname, "`): for every ",
+            "Accumulating panel product: for every ",
             "`r < m`, `c < n` performs `out[r * out_stride + c] += ",
             "Σ_j a[r * lda + j] * x[j * x_stride + c]` (ascending `j`, one ",
             "accumulator per element, added to `out` in a single `+=` — ",
@@ -478,13 +493,13 @@ macro_rules! gemm_kernels {
         /// `n` exceeds `x_stride` / `out_stride`.
         #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
         pub fn $acc_name(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            x: &[$t],
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -493,7 +508,7 @@ macro_rules! gemm_kernels {
         }
 
         #[doc = concat!(
-            "Seeded panel product (`", $tname, "`): for every `r < m`, ",
+            "Seeded panel product: for every `r < m`, ",
             "`c < n` starts one accumulator at `out[r * out_stride + c]`, ",
             "adds `a[r * lda + j] * x[j * x_stride + c]` to it for ascending ",
             "`j`, and stores the chain. Each element therefore sees exactly ",
@@ -514,13 +529,13 @@ macro_rules! gemm_kernels {
         /// `n` exceeds `x_stride` / `out_stride`.
         #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
         pub fn $seeded_name(
-            a: &[$t],
+            a: &[f64],
             lda: usize,
             m: usize,
             k: usize,
-            x: &[$t],
+            x: &[f64],
             x_stride: usize,
-            out: &mut [$t],
+            out: &mut [f64],
             out_stride: usize,
             n: usize,
         ) {
@@ -531,7 +546,6 @@ macro_rules! gemm_kernels {
 }
 
 gemm_kernels!(
-    f64, "f64",
     gemm_impl_f64, gemm_avx2_f64, gemm_avx512_f64, gemm_dispatch_f64,
     gemm_bias, gemm_acc, gemm_seeded
 );
@@ -885,11 +899,77 @@ mod tests {
         Ok(())
     }
 
+    /// A NaN payload no kernel stores: it marks the masked columns.
+    const SENTINEL: u64 = 0x7ff4_dead_beef_0001;
+
+    /// Every flavour at every `n` in 1..=40 and `m` in 1..=9, against the
+    /// per-element reference chains, from nonzero bias, `out` and seed.
+    /// Panels run at a stride wider than `n`, with sentinel NaNs in the
+    /// masked columns of `x` and `out` (which must stay bit for bit and
+    /// reach no real lane), and at stride `n` with the panels cut right
+    /// after their last active column, so the masked tile's copied rows
+    /// run too.
+    fn check_ragged(kn: &Kernels) -> Result<(), String> {
+        let (k, lda) = (11usize, 13usize);
+        let sentinel = f64::from_bits(SENTINEL);
+        for n in 1..=40usize {
+            for m in 1..=9usize {
+                for stride in [n, n + 5] {
+                    let a = fill(40, m * lda);
+                    let bias = fill(41, m);
+                    let mut x = fill(42, k * stride);
+                    let mut base = fill(43, m * stride);
+                    for panel in [&mut x, &mut base] {
+                        for row in panel.chunks_mut(stride) {
+                            row[n..].fill(sentinel);
+                        }
+                    }
+                    let x = &x[..(k - 1) * stride + n];
+                    for flavour in ["bias", "acc", "seeded"] {
+                        let mut out = base[..(m - 1) * stride + n].to_vec();
+                        match flavour {
+                            "bias" => {
+                                (kn.bias)(&a, lda, m, k, &bias, x, stride, &mut out, stride, n)
+                            }
+                            "acc" => (kn.acc)(&a, lda, m, k, x, stride, &mut out, stride, n),
+                            _ => (kn.seeded)(&a, lda, m, k, x, stride, &mut out, stride, n),
+                        }
+                        for r in 0..m {
+                            for c in 0..stride.min(out.len() - r * stride) {
+                                let (got, at) = (out[r * stride + c], r * stride + c);
+                                let here =
+                                    format!("{flavour} n={n} m={m} stride={stride} r={r} c={c}");
+                                if c >= n {
+                                    if got.to_bits() != SENTINEL {
+                                        return Err(format!("{here}: masked column written"));
+                                    }
+                                    continue;
+                                }
+                                let mut chain = if flavour == "seeded" { base[at] } else { 0.0 };
+                                for j in 0..k {
+                                    chain += a[r * lda + j] * x[j * stride + c];
+                                }
+                                let want = match flavour {
+                                    "bias" => bias[r] + chain,
+                                    "acc" => base[at] + chain,
+                                    _ => chain,
+                                };
+                                same_bits(got, want, &here)?;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn check_all(kn: &Kernels) -> Result<(), String> {
         check_bias(kn)?;
         check_acc(kn)?;
         check_two_pass(kn)?;
-        check_seeded(kn)
+        check_seeded(kn)?;
+        check_ragged(kn)
     }
 
     #[test]
@@ -913,13 +993,118 @@ mod tests {
     }
 
     #[test]
+    fn ragged_widths_match_the_reference_and_leave_masked_columns_alone() {
+        check_ragged(&KERNELS).unwrap();
+    }
+
+    #[test]
     fn every_mutant_fails_the_bit_identity_checks() {
         for mutant in Mutant::ALL {
             assert!(
                 check_all(&mutant.kernels()).is_err(),
                 "{mutant:?} passes every kernel bit-identity check"
             );
+            assert!(
+                check_ragged(&mutant.kernels()).is_err(),
+                "{mutant:?} passes the ragged-width check"
+            );
         }
+    }
+
+    #[test]
+    fn nan_bits_are_the_same_in_every_tile_and_the_m1_row() {
+        // One column, copied into every lane of a panel 43 wide: quad-tile
+        // lanes 0..32, single-tile lanes 32..40 and masked-tile lanes
+        // 40..43 compute the same chains, so each row must hold one value
+        // across all 43 lanes. The `m = 1` row computes the same chains
+        // with the operands swapped (`v · Aᵀ`, again 43 wide). Half the
+        // operands are ±NaN (two payloads each), ±inf or ±0, so chains
+        // meet two NaNs and make default NaNs from `inf · 0`.
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0123),
+            f64::from_bits(0xfff8_0000_0000_0456),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+        ];
+        let (rows, k, n) = (43usize, 6usize, 4 * LANES + LANES + 3);
+        let mut state = 0x5eed_u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (state >> 33) as usize;
+            if pick.is_multiple_of(2) {
+                specials[(pick / 2) % specials.len()]
+            } else {
+                ((pick % 1000) as f64 - 500.0) / 64.0
+            }
+        };
+        let mut nans = 0;
+        for trial in 0..200 {
+            let a: Vec<f64> = (0..rows * k).map(|_| draw()).collect();
+            let v: Vec<f64> = (0..k).map(|_| draw()).collect();
+            let bias: Vec<f64> = (0..rows).map(|_| draw()).collect();
+            let base: Vec<f64> = (0..rows).map(|_| draw()).collect();
+            let x: Vec<f64> = v
+                .iter()
+                .flat_map(|&vj| std::iter::repeat_n(vj, n))
+                .collect();
+            let a_t: Vec<f64> = (0..k)
+                .flat_map(|j| (0..rows).map(move |r| (r, j)))
+                .map(|(r, j)| a[r * k + j])
+                .collect();
+            for flavour in ["bias", "acc", "seeded"] {
+                let mut out: Vec<f64> = base
+                    .iter()
+                    .flat_map(|&b| std::iter::repeat_n(b, n))
+                    .collect();
+                let mut row = base.clone();
+                match flavour {
+                    "bias" => gemm_bias(&a, k, rows, k, &bias, &x, n, &mut out, n, n),
+                    "acc" => {
+                        gemm_acc(&a, k, rows, k, &x, n, &mut out, n, n);
+                        gemm_acc(&v, k, 1, k, &a_t, rows, &mut row, rows, rows);
+                    }
+                    _ => {
+                        gemm_seeded(&a, k, rows, k, &x, n, &mut out, n, n);
+                        gemm_seeded(&v, k, 1, k, &a_t, rows, &mut row, rows, rows);
+                    }
+                }
+                for r in 0..rows {
+                    let want = out[r * n];
+                    if want.is_nan() {
+                        nans += 1;
+                        assert_eq!(
+                            want.to_bits(),
+                            f64::NAN.to_bits(),
+                            "{flavour} trial {trial} r={r}"
+                        );
+                    }
+                    for c in 1..n {
+                        assert_eq!(
+                            out[r * n + c].to_bits(),
+                            want.to_bits(),
+                            "{flavour} trial {trial} r={r}: lane {c} vs lane 0"
+                        );
+                    }
+                    if flavour != "bias" {
+                        assert_eq!(
+                            row[r].to_bits(),
+                            want.to_bits(),
+                            "{flavour} trial {trial} r={r}: m = 1 row vs panel"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            nans > 1000,
+            "only {nans} NaN elements: the specials are too sparse"
+        );
     }
 
     #[test]
@@ -971,7 +1156,7 @@ mod tests {
         }
         // The single-lane streaming shape: one input row times a k-major
         // weight block, n output units wide — quad tiles, single tiles and
-        // the scalar remainder (n = 96 is the deployed 4*hidden).
+        // the masked tile (n = 96 is the deployed 4*hidden).
         for &n in &[4usize, 24, 96, 100] {
             let a = fill(23, k);
             let x = fill(24, k * n);

@@ -483,20 +483,27 @@ fn lstm_forward(
         (kn.acc)(&layer.u.value, hd, g4, hd, &v.h[col..], tb1, gates, tb, nb);
         apply_rows(gates, 0..3 * hd, tb, nb, fast_sigmoid_slice);
         apply_rows(gates, 3 * hd..g4, tb, nb, fast_tanh_slice);
+        // Step t's lanes of gate row r, and of state row j before and
+        // after the step (blocks t and t + 1).
+        let lanes = |r: usize| col + r * tb..col + r * tb + nb;
+        let state = |j: usize| col + j * tb1..col + j * tb1 + 2 * nb;
         for j in 0..hd {
+            let (i, f) = (&v.gates[lanes(j)], &v.gates[lanes(hd + j)]);
+            let g = &v.gates[lanes(3 * hd + j)];
+            let (c_prev, c_next) = v.c[state(j)].split_at_mut(nb);
+            let tanh_c = &mut v.tanh_c[lanes(j)];
             for s in 0..nb {
-                let at = |r: usize| r * tb + col + s;
-                let (i, f, g) = (v.gates[at(j)], v.gates[at(hd + j)], v.gates[at(3 * hd + j)]);
-                let c = f * v.c[j * tb1 + col + s] + i * g;
-                v.c[j * tb1 + col + nb + s] = c;
-                v.tanh_c[at(j)] = c;
+                let c = f[s] * c_prev[s] + i[s] * g[s];
+                c_next[s] = c;
+                tanh_c[s] = c;
             }
         }
         apply_rows(&mut v.tanh_c[col..], 0..hd, tb, nb, fast_tanh_slice);
         for j in 0..hd {
+            let (o, tanh_c) = (&v.gates[lanes(2 * hd + j)], &v.tanh_c[lanes(j)]);
+            let h_next = &mut v.h[state(j)][nb..];
             for s in 0..nb {
-                let at = |r: usize| r * tb + col + s;
-                v.h[j * tb1 + col + nb + s] = v.gates[at(2 * hd + j)] * v.tanh_c[at(j)];
+                h_next[s] = o[s] * tanh_c[s];
             }
         }
     }
@@ -528,22 +535,29 @@ fn lstm_backward(
             // dh_t = ext_t + Σ_r U[r]·dpre_{t+1}[r].
             (kn.acc)(v.u_t, g4, hd, g4, &v.dpre[col + nb..], tb, dh, nb, nb);
         }
+        // Step t's lanes of row r of a `T·B`-wide panel, and the
+        // gradient panel split into its i, f, o and g gate blocks.
+        let lanes = |r: usize| col + r * tb..col + r * tb + nb;
+        let (dpre_i, rest) = v.dpre.split_at_mut(hd * tb);
+        let (dpre_f, rest) = rest.split_at_mut(hd * tb);
+        let (dpre_o, dpre_g) = rest.split_at_mut(hd * tb);
         for j in 0..hd {
+            let (i, f) = (&v.gates[lanes(j)], &v.gates[lanes(hd + j)]);
+            let (o, g) = (&v.gates[lanes(2 * hd + j)], &v.gates[lanes(3 * hd + j)]);
+            let (tanh_c, c_prev) = (&v.tanh_c[lanes(j)], &v.c[col + j * tb1..][..nb]);
+            let (d_i, d_f) = (&mut dpre_i[lanes(j)], &mut dpre_f[lanes(j)]);
+            let (d_o, d_g) = (&mut dpre_o[lanes(j)], &mut dpre_g[lanes(j)]);
+            let (dh, dc) = (&dh[j * nb..][..nb], &mut dc[j * nb..][..nb]);
             for s in 0..nb {
-                let at = |r: usize| r * tb + col + s;
-                let (i, f) = (v.gates[at(j)], v.gates[at(hd + j)]);
-                let (o, g) = (v.gates[at(2 * hd + j)], v.gates[at(3 * hd + j)]);
-                let tanh_c = v.tanh_c[at(j)];
-                let c_prev = v.c[j * tb1 + col + s];
-                let dh = dh[j * nb + s];
-                let d_o = dh * tanh_c;
-                let dcj = dh * o * (1.0 - tanh_c * tanh_c) + dc[j * nb + s];
-                let (di, df, dg) = (dcj * g, dcj * c_prev, dcj * i);
-                v.dpre[at(j)] = di * i * (1.0 - i);
-                v.dpre[at(hd + j)] = df * f * (1.0 - f);
-                v.dpre[at(2 * hd + j)] = d_o * o * (1.0 - o);
-                v.dpre[at(3 * hd + j)] = dg * (1.0 - g * g);
-                dc[j * nb + s] = dcj * f;
+                let (i, f, o, g, tanh_c) = (i[s], f[s], o[s], g[s], tanh_c[s]);
+                let d_out = dh[s] * tanh_c;
+                let dcj = dh[s] * o * (1.0 - tanh_c * tanh_c) + dc[s];
+                let (di, df, dg) = (dcj * g, dcj * c_prev[s], dcj * i);
+                d_i[s] = di * i * (1.0 - i);
+                d_f[s] = df * f * (1.0 - f);
+                d_o[s] = d_out * o * (1.0 - o);
+                d_g[s] = dg * (1.0 - g * g);
+                dc[s] = dcj * f;
             }
         }
     }
