@@ -25,12 +25,19 @@
 //! the same ticks and every output **and** every LSTM state is compared
 //! with `f64::to_bits` — a divergence panics (nonzero exit from the
 //! binary), so a non-identical kernel can never report a speedup.
+//!
+//! The `calibration` section measures threshold calibration's model
+//! replay: one synthetic trace of [`CALIBRATION_TICKS`] ticks through
+//! per-tick [`FfcModel::observe`] and through the offline batched
+//! [`FfcModel::replay`], both including feature assembly, as ns per
+//! tick. Every prediction of the two paths is compared with `to_bits`
+//! before either is timed, and a mismatch panics.
 
 use criterion::{black_box, Criterion};
 use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_core::features::{assemble, FeatureSet, SensorPrimitives};
 use pidpiper_core::ffc::PipelineConfig;
-use pidpiper_core::FfcModel;
+use pidpiper_core::{FfcModel, ReplayRows};
 use pidpiper_math::json::{self, Json};
 use pidpiper_math::json_object;
 use pidpiper_math::Vec3;
@@ -100,6 +107,24 @@ pub struct PerfReport {
     pub allocations_per_tick: Option<f64>,
     /// The batched fleet-kernel measurements.
     pub batched: BatchedPerf,
+    /// The calibration-replay measurements.
+    pub calibration: CalibrationPerf,
+}
+
+/// The `calibration` section of [`PerfReport`]: one trace replayed
+/// through per-tick `observe` and through the offline batched replay.
+#[derive(Debug, Clone)]
+pub struct CalibrationPerf {
+    /// Ticks in the replayed trace.
+    pub ticks: usize,
+    /// Per-tick `observe` over the trace, ns per tick (fastest of
+    /// [`CALIBRATION_REPS`]).
+    pub observe_ns_per_tick: f64,
+    /// `FfcModel::replay` over the same trace, ns per tick (fastest of
+    /// [`CALIBRATION_REPS`]).
+    pub replay_ns_per_tick: f64,
+    /// `observe_ns_per_tick / replay_ns_per_tick`.
+    pub speedup_vs_observe: f64,
 }
 
 /// One measured batched-inference point.
@@ -136,6 +161,10 @@ const SCALAR_LANES: usize = 64;
 const ROW_POOL: usize = 509;
 /// Ticks of the per-point `to_bits` equality gate.
 const GATE_TICKS: usize = 40;
+/// Ticks of the calibration section's trace.
+pub const CALIBRATION_TICKS: usize = 2_000;
+/// Timed repetitions of each calibration path; the fastest is reported.
+pub const CALIBRATION_REPS: usize = 5;
 
 /// Deterministic pre-normalized row pool plus a warmed state per lane:
 /// lane `i` is `window + i % 7` steps into its stream, so the gate and
@@ -317,6 +346,82 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     }
 }
 
+/// Per-tick `observe` over a whole trace from a reset model: the
+/// calibration replay's reference path.
+fn observe_trace(
+    model: &FfcModel,
+    prims: &[SensorPrimitives],
+    target: &TargetState,
+    phase: FlightPhase,
+) -> Vec<ActuatorSignal> {
+    let mut online = model.clone();
+    online.reset();
+    prims
+        .iter()
+        .filter_map(|p| online.observe(p, target, phase))
+        .collect()
+}
+
+/// The same trace through the offline batched replay, feature assembly
+/// included.
+fn replay_trace(
+    model: &FfcModel,
+    prims: &[SensorPrimitives],
+    target: &TargetState,
+    phase: FlightPhase,
+) -> Vec<ActuatorSignal> {
+    let mut rows = ReplayRows::new(model.feature_set());
+    rows.begin_trace();
+    for p in prims {
+        rows.push(p, target, phase);
+    }
+    model.replay(rows).pop().unwrap_or_default()
+}
+
+/// Runs the calibration section: the `to_bits` gate over every
+/// prediction, then the fastest of [`CALIBRATION_REPS`] timed runs of
+/// each path.
+fn run_calibration(cfg: &PerfConfig) -> CalibrationPerf {
+    let (model, _) = deployed_model(cfg.seed);
+    let (prims, target) = synthetic_inputs(CALIBRATION_TICKS);
+    let phase = FlightPhase::Cruise { wp_index: 0 };
+    let online = observe_trace(&model, &prims, &target, phase);
+    let offline = replay_trace(&model, &prims, &target, phase);
+    let bits = |y: &ActuatorSignal| y.to_array().map(f64::to_bits);
+    assert_eq!(
+        online.len(),
+        offline.len(),
+        "calibration replay predicted a different tick count than observe; \
+         refusing to benchmark"
+    );
+    for (t, (a, b)) in online.iter().zip(&offline).enumerate() {
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "calibration replay diverged from observe at prediction {t}; refusing to benchmark"
+        );
+    }
+    type TracePath =
+        fn(&FfcModel, &[SensorPrimitives], &TargetState, FlightPhase) -> Vec<ActuatorSignal>;
+    let fastest = |path: TracePath| {
+        (0..CALIBRATION_REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(path(&model, &prims, &target, phase));
+                t0.elapsed().as_nanos() as f64 / CALIBRATION_TICKS as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let observe_ns = fastest(observe_trace);
+    let replay_ns = fastest(replay_trace);
+    CalibrationPerf {
+        ticks: CALIBRATION_TICKS,
+        observe_ns_per_tick: observe_ns,
+        replay_ns_per_tick: replay_ns,
+        speedup_vs_observe: observe_ns / replay_ns.max(f64::MIN_POSITIVE),
+    }
+}
+
 /// The pre-streaming FFC observe loop, reproduced as the latency baseline:
 /// raw rows in a `VecDeque`, cloned and re-normalized wholesale on every
 /// tick's `predict`.
@@ -481,14 +586,15 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
         speedup_vs_baseline: baseline_ns / ns.max(f64::MIN_POSITIVE),
         allocations_per_tick,
         batched: run_batched(cfg),
+        calibration: run_calibration(cfg),
     }
 }
 
 impl PerfReport {
     /// Checks every value the report promises: positive shape and tick
     /// counts, positive finite latencies and ratios, no measured
-    /// allocation in the streaming loop, and the six batch points in
-    /// order.
+    /// allocation in the streaming loop, the six batch points in order,
+    /// and a calibration section over a non-empty trace.
     ///
     /// # Errors
     ///
@@ -503,6 +609,7 @@ impl PerfReport {
             ("window", c.window),
             ("decimate", self.decimate),
             ("ticks", self.ticks),
+            ("calibration ticks", self.calibration.ticks),
         ])?;
         json::require_positive(&[
             ("ns_per_iter", self.ns_per_iter),
@@ -513,6 +620,9 @@ impl PerfReport {
                 "scalar_ns_per_vehicle_tick",
                 self.batched.scalar_ns_per_vehicle_tick,
             ),
+            ("observe_ns_per_tick", self.calibration.observe_ns_per_tick),
+            ("replay_ns_per_tick", self.calibration.replay_ns_per_tick),
+            ("speedup_vs_observe", self.calibration.speedup_vs_observe),
         ])?;
         for p in &self.batched.points {
             json::require_positive(&[
@@ -563,6 +673,12 @@ pub fn to_json(r: &PerfReport) -> String {
             "scalar_ns_per_vehicle_tick" => Json::fixed(r.batched.scalar_ns_per_vehicle_tick, 1),
             "points" => Json::array(points),
         },
+        "calibration" => json_object! {
+            "ticks" => r.calibration.ticks,
+            "observe_ns_per_tick" => Json::fixed(r.calibration.observe_ns_per_tick, 1),
+            "replay_ns_per_tick" => Json::fixed(r.calibration.replay_ns_per_tick, 1),
+            "speedup_vs_observe" => Json::fixed(r.calibration.speedup_vs_observe, 2),
+        },
     };
     doc.render()
 }
@@ -596,6 +712,12 @@ pub fn write_report(r: &PerfReport) -> io::Result<()> {
             r.batched.scalar_ns_per_vehicle_tick,
         );
     }
+    let c = &r.calibration;
+    println!(
+        "exp_perf[calibration]: replay {:.0} ns/tick, observe {:.0} ns/tick — {:.2}x \
+         ({} ticks)",
+        c.replay_ns_per_tick, c.observe_ns_per_tick, c.speedup_vs_observe, c.ticks,
+    );
     Ok(())
 }
 
@@ -686,13 +808,20 @@ mod tests {
                     point(256, 1010.0, 3.0697),
                 ],
             },
+            calibration: CalibrationPerf {
+                ticks: 2000,
+                observe_ns_per_tick: 12500.04,
+                replay_ns_per_tick: 6250.46,
+                speedup_vs_observe: 1.99988,
+            },
         }
     }
 
     #[test]
     fn json_matches_the_golden_rendering() {
         // Captured with the `f32` block, which was then cut from the file
-        // by hand; every other byte is as captured.
+        // by hand; the `calibration` block was written in by hand from
+        // `fixed_report`'s values. Every other byte is as captured.
         let golden = json::minify(include_str!("../tests/golden/BENCH_inference.json"));
         let mut r = fixed_report();
         assert_eq!(json::minify(&to_json(&r)), golden);
@@ -708,7 +837,7 @@ mod tests {
     fn check_rejects_each_violated_property() {
         assert_eq!(fixed_report().check(), Ok(()));
         type Breaker = fn(&mut PerfReport);
-        let cases: [(&str, Breaker); 10] = [
+        let cases: [(&str, Breaker); 13] = [
             ("hidden is 0", |r| r.config.hidden = 0),
             ("ticks is 0", |r| r.ticks = 0),
             ("ns_per_iter", |r| r.ns_per_iter = 0.0),
@@ -727,6 +856,11 @@ mod tests {
             }),
             ("batch points", |r| r.batched.points[3].batch = 48),
             ("batch points", |r| r.batched.points.truncate(5)),
+            ("calibration ticks", |r| r.calibration.ticks = 0),
+            ("replay_ns_per_tick", |r| r.calibration.replay_ns_per_tick = 0.0),
+            ("speedup_vs_observe", |r| {
+                r.calibration.speedup_vs_observe = f64::NAN
+            }),
         ];
         for (want, breaker) in cases {
             let mut r = fixed_report();

@@ -4,13 +4,23 @@
 //!
 //! The noise model (variance gate + shadow estimator) runs upstream in
 //! [`crate::sanitizer::SensorSanitizer`]; this module owns the windowed
-//! LSTM inference pipeline.
+//! LSTM inference pipeline: the online path ([`FfcModel::observe`], one
+//! control step at a time) and its offline twin for threshold
+//! calibration ([`FfcModel::replay`], whole traces through the batched
+//! engine). Both follow the ring and decimation rules written down here.
 
 use crate::features::{assemble_into, FeatureSet, SensorPrimitives};
 use crate::gate::GateConfig;
 use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_missions::FlightPhase;
-use pidpiper_ml::{InferenceScratch, LstmRegressor, RegressorConfig, StreamState, StreamingRegressor};
+use pidpiper_ml::{
+    BatchScratch, BatchedStreamingRegressor, InferenceScratch, LstmRegressor, RegressorConfig,
+    StreamState, StreamingRegressor,
+};
+
+/// Lanes per batched replay chunk, prefixes and ticks alike: the batched
+/// engine's column window, so every chunk's panels stay cache-resident.
+const REPLAY_LANES: usize = 64;
 
 /// Runtime pipeline configuration shared by FFC and FBC models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,13 +95,14 @@ impl FfcModel {
     /// # Panics
     ///
     /// Panics if the regressor's dimensions do not match the feature set
-    /// and the 4-channel actuator signal.
+    /// and the 4-channel actuator signal, or the decimation is zero.
     pub fn new(
         regressor: LstmRegressor,
         feature_set: FeatureSet,
         pipeline: PipelineConfig,
     ) -> Self {
         assert!(feature_set.is_ffc(), "FfcModel requires an FFC feature set");
+        assert!(pipeline.decimate > 0, "decimate must be at least 1");
         assert_eq!(
             regressor.config().input_dim,
             feature_set.dim(),
@@ -148,13 +159,16 @@ impl FfcModel {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive error on malformed input or a dimension
-    /// mismatch with the requested feature set.
+    /// Returns a descriptive error on malformed input, a dimension
+    /// mismatch with the requested feature set, or a zero decimation.
     pub fn from_text(
         text: &str,
         feature_set: FeatureSet,
         pipeline: PipelineConfig,
     ) -> Result<Self, String> {
+        if pipeline.decimate == 0 {
+            return Err("decimate must be at least 1".into());
+        }
         let regressor = LstmRegressor::from_text(text)?;
         if regressor.config().input_dim != feature_set.dim() {
             return Err(format!(
@@ -262,6 +276,246 @@ impl FfcModel {
         self.step_counter = 0;
         self.last_prediction = None;
     }
+
+    /// Offline twin of [`FfcModel::observe`]: replays whole traces, each
+    /// from a reset model, and returns per trace the prediction `observe`
+    /// would return at every warmed-up tick, bit for bit. A trace's
+    /// series covers its last `len` ticks; the ticks before them are the
+    /// warm-up, where `observe` returns `None`. This model's runtime state
+    /// is neither read nor changed.
+    ///
+    /// Every window is a lane of one [`BatchedStreamingRegressor`] pass.
+    /// With `cap = window - 1`, the ring after `p >= cap` pushes holds
+    /// the sampled rows of ticks `(p - cap) * decimate ..= (p - 1) *
+    /// decimate`, and tick `t` reads the ring after `ceil(t / decimate)`
+    /// pushes (the push of a sampled tick lands after its own refresh).
+    /// The prefixes are taken in chunks of up to 64, across traces:
+    ///
+    /// - *prefix phase*: each prefix is a lane; all lanes step their `cap`
+    ///   rows together from the zero state;
+    /// - *live phase*: each tick that reads one of those prefixes is a
+    ///   lane that starts from its prefix's state, steps its own row and
+    ///   runs the dense stack.
+    ///
+    /// A chunk finishes its live ticks before the next chunk starts, so
+    /// the lane state stays bounded on a trace of any length. Each tick's
+    /// row is normalized once; `observe` normalizes it again for the
+    /// ring, with the same expression and so the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` was built for another feature set.
+    pub fn replay(&self, rows: ReplayRows) -> Vec<Vec<ActuatorSignal>> {
+        assert_eq!(
+            rows.feature_set, self.feature_set,
+            "replay rows were built for another feature set"
+        );
+        let ReplayRows {
+            rows: mut normed,
+            ticks,
+            mut row,
+            ..
+        } = rows;
+        let dim = self.feature_set.dim();
+        let normalizer = self.regressor.normalizer();
+        for r in normed.chunks_exact_mut(dim) {
+            row.clear();
+            row.extend_from_slice(r);
+            normalizer.transform_into(&row, r);
+        }
+        let cap = self.engine.config().window - 1;
+        let decimate = self.pipeline.decimate;
+        let warmup = if cap == 0 { 0 } else { (cap - 1) * decimate + 1 };
+        let batched = BatchedStreamingRegressor::compile(&self.engine);
+        let mut starts = Vec::with_capacity(ticks.len());
+        let mut start = 0;
+        for &n in &ticks {
+            starts.push(start);
+            start += n;
+        }
+        let mut replay = Replay {
+            prefix: batched.scratch(REPLAY_LANES),
+            live: batched.scratch(REPLAY_LANES),
+            batched,
+            rows: &normed,
+            dim,
+            cap,
+            decimate,
+            starts,
+            lane_rows: Vec::with_capacity(REPLAY_LANES),
+            live_src: Vec::with_capacity(REPLAY_LANES),
+            live_trace: Vec::with_capacity(REPLAY_LANES),
+            out: vec![0.0; REPLAY_LANES * ActuatorSignal::DIM],
+            series: ticks
+                .iter()
+                .map(|&n| Vec::with_capacity(n.saturating_sub(warmup)))
+                .collect(),
+        };
+        let mut chunk = Vec::with_capacity(REPLAY_LANES);
+        for (trace, &n) in ticks.iter().enumerate() {
+            if n <= warmup {
+                continue;
+            }
+            // The warm-up ends at the first tick reading `cap` pushes.
+            for pushes in cap..=(n - 1).div_ceil(decimate) {
+                chunk.push(PrefixLane { trace, pushes, last_tick: n - 1 });
+                if chunk.len() == REPLAY_LANES {
+                    replay.run_chunk(&chunk);
+                    chunk.clear();
+                }
+            }
+        }
+        replay.run_chunk(&chunk);
+        replay.series
+    }
+}
+
+/// Per-tick raw feature rows of whole traces: the input of
+/// [`FfcModel::replay`]. Each row is the one [`FfcModel::observe`]
+/// assembles from the same step's primitives, target and phase.
+#[derive(Debug, Clone)]
+pub struct ReplayRows {
+    feature_set: FeatureSet,
+    /// Flat `[ticks * dim]` rows of every trace, back to back.
+    rows: Vec<f64>,
+    /// Tick count of each trace, in order.
+    ticks: Vec<usize>,
+    /// Assembly buffer for one row.
+    row: Vec<f64>,
+}
+
+impl ReplayRows {
+    /// No traces yet, for models on `feature_set`.
+    pub fn new(feature_set: FeatureSet) -> Self {
+        ReplayRows {
+            feature_set,
+            rows: Vec::new(),
+            ticks: Vec::new(),
+            row: Vec::with_capacity(feature_set.dim()),
+        }
+    }
+
+    /// Starts a new trace; later [`ReplayRows::push`] calls append to it.
+    pub fn begin_trace(&mut self) {
+        self.ticks.push(0);
+    }
+
+    /// Appends one control step of sanitized primitives to the current
+    /// trace (starting the first trace if none has begun).
+    pub fn push(&mut self, prims: &SensorPrimitives, target: &TargetState, phase: FlightPhase) {
+        assemble_into(
+            self.feature_set,
+            prims,
+            target,
+            phase,
+            &ActuatorSignal::default(),
+            &mut self.row,
+        );
+        self.rows.extend_from_slice(&self.row);
+        match self.ticks.last_mut() {
+            Some(n) => *n += 1,
+            None => self.ticks.push(1),
+        }
+    }
+
+}
+
+/// One prefix lane of a replay chunk: the ring of `trace` after `pushes`
+/// decimated pushes.
+#[derive(Debug, Clone, Copy)]
+struct PrefixLane {
+    trace: usize,
+    pushes: usize,
+    /// The trace's last tick.
+    last_tick: usize,
+}
+
+/// Working set of one [`FfcModel::replay`] call.
+struct Replay<'a> {
+    batched: BatchedStreamingRegressor,
+    /// Prefix lanes of the current chunk.
+    prefix: BatchScratch,
+    /// Tick lanes, each loaded from its prefix lane.
+    live: BatchScratch,
+    /// Normalized rows of every trace, back to back.
+    rows: &'a [f64],
+    dim: usize,
+    cap: usize,
+    decimate: usize,
+    /// First tick of each trace in `rows`.
+    starts: Vec<usize>,
+    /// Row of each lane in the next batched step.
+    lane_rows: Vec<&'a [f64]>,
+    /// Prefix lane and trace of each pending tick lane.
+    live_src: Vec<usize>,
+    live_trace: Vec<usize>,
+    /// Lane-major outputs of one live batch.
+    out: Vec<f64>,
+    series: Vec<Vec<ActuatorSignal>>,
+}
+
+impl<'a> Replay<'a> {
+    /// The normalized row of `trace`'s tick `t`.
+    fn row(&self, trace: usize, t: usize) -> &'a [f64] {
+        let at = (self.starts[trace] + t) * self.dim;
+        &self.rows[at..at + self.dim]
+    }
+
+    /// Steps every prefix of `chunk` from the zero state, then every tick
+    /// reading one of them, in trace and tick order.
+    fn run_chunk(&mut self, chunk: &[PrefixLane]) {
+        if chunk.is_empty() {
+            return;
+        }
+        self.prefix.reset_states();
+        for k in 0..self.cap {
+            self.lane_rows.clear();
+            for l in chunk {
+                let sample = l.pushes - self.cap + k;
+                self.lane_rows.push(self.row(l.trace, sample * self.decimate));
+            }
+            self.prefix.load_rows(&self.lane_rows);
+            self.batched.step_batch(&mut self.prefix, chunk.len());
+        }
+        self.lane_rows.clear();
+        for (lane, l) in chunk.iter().enumerate() {
+            // Ticks reading `p` pushes: `t` with `ceil(t / decimate) == p`.
+            let first = match l.pushes {
+                0 => 0,
+                p => (p - 1) * self.decimate + 1,
+            };
+            let last = (l.pushes * self.decimate).min(l.last_tick);
+            for t in first..=last {
+                self.lane_rows.push(self.row(l.trace, t));
+                self.live_src.push(lane);
+                self.live_trace.push(l.trace);
+                if self.live_src.len() == REPLAY_LANES {
+                    self.run_live();
+                }
+            }
+        }
+        self.run_live();
+    }
+
+    /// Runs the pending tick lanes and appends their predictions.
+    fn run_live(&mut self) {
+        let n = self.live_src.len();
+        if n == 0 {
+            return;
+        }
+        self.live.load_states_from(&self.prefix, &self.live_src);
+        self.live.load_rows(&self.lane_rows);
+        self.batched.step_batch(&mut self.live, n);
+        self.batched.finish_batch(&mut self.live, n);
+        let out = &mut self.out[..n * ActuatorSignal::DIM];
+        self.live.read_outputs(out);
+        for (y, &trace) in out.chunks_exact(ActuatorSignal::DIM).zip(&self.live_trace) {
+            self.series[trace].push(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]]));
+        }
+        self.lane_rows.clear();
+        self.live_src.clear();
+        self.live_trace.clear();
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +601,16 @@ mod tests {
         let a = tiny_model();
         let text = a.to_text();
         assert!(FfcModel::from_text(&text, FeatureSet::FfcFull, *a.pipeline()).is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_zero_decimation() {
+        let a = tiny_model();
+        let pipeline = PipelineConfig {
+            decimate: 0,
+            ..*a.pipeline()
+        };
+        assert!(FfcModel::from_text(&a.to_text(), FeatureSet::FfcPruned, pipeline).is_err());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod trainer;
 pub use artifact::{load_deployment, save_deployment, ArtifactError, ArtifactIntegrity};
 pub use fbc::FbcModel;
 pub use features::{FeatureSet, SensorPrimitives};
-pub use ffc::FfcModel;
+pub use ffc::{FfcModel, ReplayRows};
 pub use gate::{GateConfig, VarianceGate};
 pub use monitor::{AxisThresholds, CusumMonitor};
 pub use pidpiper::{ConsistencyGates, PidPiper, PidPiperConfig, TrustBand};

@@ -5,10 +5,18 @@
 //! profiles per vehicle, split 80/20 into training and validation, train
 //! the LSTM, then derive the detection thresholds from the validation
 //! missions with DTW (Section V).
+//!
+//! Calibration replays the trained FFC over every validation trace in
+//! one offline pass ([`FfcModel::replay`]): the sanitizer runs over each
+//! trace's raw readings as it would in flight, and the model's windows
+//! step as lanes of the batched engine — first every history prefix,
+//! then every tick from its prefix's state — instead of tick by tick
+//! through [`FfcModel::observe`], whose predictions they equal bit for
+//! bit.
 
 use crate::fbc::FbcModel;
 use crate::features::{assemble, fbc_target, FeatureSet, SensorPrimitives, FBC_TARGET_DIM};
-use crate::ffc::{FfcModel, PipelineConfig};
+use crate::ffc::{FfcModel, PipelineConfig, ReplayRows};
 use crate::pidpiper::{PidPiper, PidPiperConfig};
 use crate::sanitizer::SensorSanitizer;
 use crate::monitor::LagTolerantResidual;
@@ -270,26 +278,43 @@ impl Trainer {
     /// (PID, ML) series for threshold calibration — only steps where the
     /// model is warmed up contribute.
     pub fn replay_ffc(&self, ffc: &FfcModel, trace: &Trace) -> CalibrationSeries {
-        let dt = trace_dt(trace);
-        let mut model = ffc.clone();
-        model.reset();
-        let mut sanitizer = SensorSanitizer::new(self.config.pipeline.gate);
-        let mut series = CalibrationSeries::default();
-        for r in trace.records() {
-            let (clean, est) = sanitizer.process(&r.readings, dt);
-            let prims = SensorPrimitives::collect(&est, &clean);
-            if let Some(ml) = model.observe(&prims, &r.target, r.phase) {
-                series.pid_roll.push(r.pid_signal.roll);
-                series.ml_roll.push(ml.roll);
-                series.pid_pitch.push(r.pid_signal.pitch);
-                series.ml_pitch.push(ml.pitch);
-                series.pid_yaw.push(r.pid_signal.yaw_rate);
-                series.ml_yaw.push(ml.yaw_rate);
-                series.pid_thrust.push(r.pid_signal.thrust);
-                series.ml_thrust.push(ml.thrust);
+        self.replay_traces(ffc, std::slice::from_ref(trace))
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// [`Trainer::replay_ffc`] over several traces in one batched pass
+    /// ([`FfcModel::replay`]), one series per trace, in order.
+    fn replay_traces(&self, ffc: &FfcModel, traces: &[Trace]) -> Vec<CalibrationSeries> {
+        let mut rows = ReplayRows::new(ffc.feature_set());
+        for trace in traces {
+            rows.begin_trace();
+            let dt = trace_dt(trace);
+            let mut sanitizer = SensorSanitizer::new(self.config.pipeline.gate);
+            for r in trace.records() {
+                let (clean, est) = sanitizer.process(&r.readings, dt);
+                rows.push(&SensorPrimitives::collect(&est, &clean), &r.target, r.phase);
             }
         }
-        series
+        traces
+            .iter()
+            .zip(ffc.replay(rows))
+            .map(|(trace, ml)| {
+                let records = trace.records();
+                let mut series = CalibrationSeries::default();
+                for (r, ml) in records[records.len() - ml.len()..].iter().zip(ml) {
+                    series.pid_roll.push(r.pid_signal.roll);
+                    series.ml_roll.push(ml.roll);
+                    series.pid_pitch.push(r.pid_signal.pitch);
+                    series.ml_pitch.push(ml.pitch);
+                    series.pid_yaw.push(r.pid_signal.yaw_rate);
+                    series.ml_yaw.push(ml.yaw_rate);
+                    series.pid_thrust.push(r.pid_signal.thrust);
+                    series.ml_thrust.push(ml.thrust);
+                }
+                series
+            })
+            .collect()
     }
 
     /// Calibrates per-axis drifts and thresholds for a trained FFC by
@@ -313,9 +338,9 @@ impl Trainer {
         let n_train = (((traces.len() as f64) * self.config.train_fraction).round() as usize)
             .clamp(1, traces.len() - 1);
         let (_, val_traces) = traces.split_at(n_train);
-        let cal: Vec<CalibrationSeries> = val_traces
-            .iter()
-            .map(|t| self.replay_ffc(ffc, t))
+        let cal: Vec<CalibrationSeries> = self
+            .replay_traces(ffc, val_traces)
+            .into_iter()
             .filter(|s| !s.is_empty())
             .collect();
         assert!(!cal.is_empty(), "validation traces produced no series");

@@ -31,9 +31,14 @@
 //! phase skew, quarantine) simply pack the compatible subset and fall
 //! back to the per-session path for the rest — see
 //! `pidpiper-fleet::shard`.
+//!
+//! Offline, the threshold calibration replays whole validation traces
+//! through this engine (`pidpiper_core::FfcModel::replay`): every
+//! history prefix is a lane of one scratch, and every tick a lane of a
+//! second one that starts from its prefix's lane
+//! ([`BatchScratch::load_states_from`]).
 
 use crate::dense::Activation;
-use crate::digest::fnv64;
 use crate::normalize::Normalizer;
 use crate::stream::{CompiledDense, FusedLstm, PredictError, StreamState, StreamingRegressor};
 use pidpiper_math::activations;
@@ -323,6 +328,40 @@ impl BatchScratch {
         }
     }
 
+    /// Lane-indexed gather between two scratches of one engine: loads
+    /// the LSTM state in lane `lanes[i]` of `src` into lane `i` of this
+    /// scratch, for every `i`, sweeping the panels row-major like
+    /// [`BatchScratch::load_states`]. Several lanes may read the same
+    /// source lane (the calibration replay starts every tick that shares
+    /// a history prefix from that prefix's lane).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len() > width`, a source lane is out of `src`'s
+    /// range, or the scratches belong to differently-sized engines.
+    pub fn load_states_from(&mut self, src: &BatchScratch, lanes: &[usize]) {
+        let (w, sw, n) = (self.width, src.width, lanes.len());
+        assert!(n <= w, "{n} lanes exceed width {w}");
+        if n == 0 {
+            return;
+        }
+        assert!(lanes.iter().all(|&l| l < sw), "source lane out of range (width {sw})");
+        let rows = self.h1.len() / w;
+        assert_eq!(rows * sw, src.h1.len(), "state dimension mismatch");
+        for (dst, from) in [
+            (&mut self.h1, &src.h1),
+            (&mut self.c1, &src.c1),
+            (&mut self.h2, &src.h2),
+            (&mut self.c2, &src.c2),
+        ] {
+            for j in 0..rows {
+                let from = &from[j * sw..(j + 1) * sw];
+                for (v, &l) in dst[j * w..j * w + n].iter_mut().zip(lanes) {
+                    *v = from[l];
+                }
+            }
+        }
+    }
 }
 
 /// The batched deployment form of a compiled [`StreamingRegressor`].
@@ -354,33 +393,21 @@ impl BatchScratch {
 pub struct BatchedStreamingRegressor {
     engine: StreamingRegressor,
     rows: RowMajorWeights,
-    weights_fp: u64,
 }
 
 impl BatchedStreamingRegressor {
     /// Compiles the batched form of `engine`, bit-identical to it per
     /// lane.
     pub fn compile(engine: &StreamingRegressor) -> Self {
-        let rows = RowMajorWeights::from_engine(engine);
-        let weights_fp = fingerprint_weights(engine, &rows);
         BatchedStreamingRegressor {
             engine: engine.clone(),
-            rows,
-            weights_fp,
+            rows: RowMajorWeights::from_engine(engine),
         }
     }
 
     /// The wrapped per-session engine (same weights, same config).
     pub fn engine(&self) -> &StreamingRegressor {
         &self.engine
-    }
-
-    /// FNV-1a digest over the engine's weight bits, config and
-    /// normalizers. Two sessions may share a batch lane iff their model
-    /// fingerprints are equal — this is the grouping key the fleet shard
-    /// tick uses.
-    pub fn weights_fingerprint(&self) -> u64 {
-        self.weights_fp
     }
 
     /// A fresh [`BatchScratch`] with capacity for `width` lanes.
@@ -624,44 +651,6 @@ fn inverse_panel(norm: &Normalizer, zp: &[f64], outp: &mut [f64], w: usize, n: u
     }
 }
 
-
-/// FNV-1a over the full weight snapshot: config dims, fused LSTM rows and
-/// biases, the dense stack (weights, biases, PReLU slopes) and both
-/// normalizers, all as little-endian f64 bits. Weights are hashed in
-/// their row-major layout.
-fn fingerprint_weights(engine: &StreamingRegressor, rows: &RowMajorWeights) -> u64 {
-    let c = &engine.config;
-    let mut bytes: Vec<u8> = Vec::new();
-    for dim in [c.input_dim, c.output_dim, c.hidden, c.fc_width, c.window] {
-        bytes.extend_from_slice(&(dim as u64).to_le_bytes());
-    }
-    let mut feed = Vec::new();
-    for (l, r) in [(&engine.lstm1, &rows.lstm1), (&engine.lstm2, &rows.lstm2)] {
-        feed.push(r.as_slice());
-        feed.push(l.bias.as_slice());
-    }
-    for (d, r) in [
-        (&engine.fc_sigmoid, &rows.fc_sigmoid),
-        (&engine.fc_prelu1, &rows.fc_prelu1),
-        (&engine.fc_prelu2, &rows.fc_prelu2),
-        (&engine.head, &rows.head),
-    ] {
-        feed.push(r.as_slice());
-        feed.push(d.bias.as_slice());
-        feed.push(d.alpha.as_slice());
-    }
-    for nm in [&engine.normalizer, &engine.target_normalizer] {
-        feed.push(nm.means());
-        feed.push(nm.stds());
-    }
-    for slice in feed {
-        for v in slice {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-    fnv64(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,13 +757,30 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_models_and_is_stable() {
-        let e1 = engine();
-        let e2 = LstmRegressor::new(RegressorConfig::tiny(2, 1), 22).compile();
-        let b1a = BatchedStreamingRegressor::compile(&e1);
-        let b1b = BatchedStreamingRegressor::compile(&e1);
-        let b2 = BatchedStreamingRegressor::compile(&e2);
-        assert_eq!(b1a.weights_fingerprint(), b1b.weights_fingerprint());
-        assert_ne!(b1a.weights_fingerprint(), b2.weights_fingerprint());
+    fn lane_indexed_gather_copies_source_lanes() {
+        let e = engine();
+        let b = BatchedStreamingRegressor::compile(&e);
+        let mut solo = e.scratch();
+        let mut normed = vec![0.0; 2];
+        let states: Vec<StreamState> = (0..3)
+            .map(|i| {
+                let mut s = e.state();
+                e.normalize_into(&[0.4 * i as f64, 1.0 - i as f64], &mut normed)
+                    .expect("dims");
+                e.step_normed(&normed, &mut s, &mut solo).expect("dims");
+                s
+            })
+            .collect();
+        let mut src = b.scratch(4);
+        src.load_states(&states);
+        // A narrower destination, with repeated and reordered sources.
+        let lanes = [2, 0, 2];
+        let mut dst = b.scratch(3);
+        dst.load_states_from(&src, &lanes);
+        let mut got: Vec<StreamState> = (0..3).map(|_| e.state()).collect();
+        dst.store_states(&mut got);
+        for (i, &l) in lanes.iter().enumerate() {
+            assert_eq!(got[i], states[l], "lane {i}");
+        }
     }
 }

@@ -180,15 +180,12 @@ impl LstmRegressor {
 
     /// Fits input/target normalizers on a dataset (raw physical units).
     pub fn fit_normalizers(&mut self, ds: &WindowedDataset) {
-        let mut all_inputs = Vec::new();
-        let mut all_targets = Vec::new();
-        for s in ds.samples() {
-            all_inputs.extend(s.window.iter().cloned());
-            all_targets.push(s.target.clone());
-        }
-        if !all_inputs.is_empty() {
-            self.normalizer = Normalizer::fit(&all_inputs);
-            self.target_normalizer = Normalizer::fit(&all_targets);
+        let samples = ds.samples();
+        let inputs = samples.iter().flat_map(|s| s.window.iter().map(Vec::as_slice));
+        let targets = samples.iter().map(|s| s.target.as_slice());
+        if inputs.clone().next().is_some() {
+            self.normalizer = Normalizer::fit_rows(inputs);
+            self.target_normalizer = Normalizer::fit_rows(targets);
         }
     }
 

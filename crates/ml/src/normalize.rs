@@ -30,16 +30,34 @@ impl Normalizer {
     ///
     /// Panics if `data` is empty or rows have inconsistent lengths.
     pub fn fit(data: &[Vec<f64>]) -> Self {
-        assert!(!data.is_empty(), "cannot fit a normalizer on no data");
-        let dim = data[0].len();
-        let n = data.len() as f64;
+        Self::fit_rows(data.iter().map(Vec::as_slice))
+    }
+
+    /// [`Normalizer::fit`] over borrowed rows, in iteration order (the
+    /// iterator is cloned for the second, variance pass), so a caller
+    /// need not copy its rows into one `Vec<Vec<f64>>`. Same sums in the
+    /// same order, so the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is empty or rows have inconsistent lengths.
+    pub fn fit_rows<'a, I>(data: I) -> Self
+    where
+        I: Iterator<Item = &'a [f64]> + Clone,
+    {
+        let first = data.clone().next();
+        assert!(first.is_some(), "cannot fit a normalizer on no data");
+        let dim = first.map_or(0, <[f64]>::len);
+        let mut count = 0usize;
         let mut mean = vec![0.0; dim];
-        for row in data {
+        for row in data.clone() {
+            count += 1;
             assert_eq!(row.len(), dim, "inconsistent feature dimension");
             for (m, x) in mean.iter_mut().zip(row) {
                 *m += x;
             }
         }
+        let n = count as f64;
         for m in &mut mean {
             *m /= n;
         }
