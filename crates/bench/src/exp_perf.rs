@@ -13,7 +13,11 @@
 //! Results land in `BENCH_inference.json` at the workspace root (mirrored
 //! into `target/experiments/`) with the schema
 //! `{bench, config, ns_per_iter, ticks_per_sec, speedup_vs_baseline}`
-//! plus the baseline latency and the measured allocation count. The
+//! plus the baseline latency and the measured allocation count.
+//! `push_tick_ns` and `plain_tick_ns` split the streaming tick by kind:
+//! the timed loop reads the clock after every tick and averages the
+//! decimated push ticks (which step every partial window of the FFC's
+//! prefix bank) apart from the plain ticks (one live-lane step). The
 //! `pidpiper-bench-perf` binary runs this with a counting global
 //! allocator and fails if the streaming loop allocates at all.
 //!
@@ -96,6 +100,10 @@ pub struct PerfReport {
     pub ticks: usize,
     /// Streaming-path latency, nanoseconds per `observe` tick.
     pub ns_per_iter: f64,
+    /// Mean latency of the streaming path's decimated push ticks, ns.
+    pub push_tick_ns: f64,
+    /// Mean latency of the streaming path's other (plain) ticks, ns.
+    pub plain_tick_ns: f64,
     /// Seed-path latency, nanoseconds per tick.
     pub baseline_ns_per_iter: f64,
     /// Streaming-path throughput, `observe` ticks per second.
@@ -346,6 +354,51 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     }
 }
 
+/// Streaming-loop timings, split by tick kind.
+struct TickTimes {
+    /// Mean ns over every tick.
+    all: f64,
+    /// Mean ns of the decimated push ticks.
+    push: f64,
+    /// Mean ns of the other (plain) ticks.
+    plain: f64,
+}
+
+/// Times each `observe` tick of `prims` on its own (one clock read per
+/// tick). `first_tick` is the number of ticks `model` has observed since
+/// its last reset, so tick `first_tick + i` pushes when it is a multiple
+/// of `decimate`.
+fn time_ticks(
+    model: &mut FfcModel,
+    prims: &[SensorPrimitives],
+    target: &TargetState,
+    phase: FlightPhase,
+    first_tick: usize,
+) -> TickTimes {
+    let decimate = model.pipeline().decimate;
+    // (total ns, ticks) of each kind.
+    let (mut push, mut plain) = ((0u128, 0usize), (0u128, 0usize));
+    let mut prev = Instant::now();
+    for (i, p) in prims.iter().enumerate() {
+        black_box(model.observe(p, target, phase));
+        let now = Instant::now();
+        let kind = if (first_tick + i).is_multiple_of(decimate) {
+            &mut push
+        } else {
+            &mut plain
+        };
+        kind.0 += now.duration_since(prev).as_nanos();
+        kind.1 += 1;
+        prev = now;
+    }
+    let mean = |(ns, n): (u128, usize)| ns as f64 / n.max(1) as f64;
+    TickTimes {
+        all: mean((push.0 + plain.0, push.1 + plain.1)),
+        push: mean(push),
+        plain: mean(plain),
+    }
+}
+
 /// Per-tick `observe` over a whole trace from a reset model: the
 /// calibration replay's reference path.
 fn observe_trace(
@@ -546,7 +599,9 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
     let (gate_prims, target) = synthetic_inputs((window * decimate * 3).max(300));
     assert_paths_agree(&mut streaming, &mut seed, &gate_prims, &target);
 
-    let (prims, target) = synthetic_inputs(cfg.warmup + cfg.ticks);
+    // At least one decimation period, so both tick kinds are timed.
+    let ticks = cfg.ticks.max(decimate);
+    let (prims, target) = synthetic_inputs(cfg.warmup + ticks);
     let phase = FlightPhase::Cruise { wp_index: 0 };
 
     // Seed path: warm-up, then timed.
@@ -558,29 +613,34 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
     for p in &prims[cfg.warmup..] {
         black_box(seed.observe(p, &target, phase));
     }
-    let baseline_ns = t_seed.elapsed().as_nanos() as f64 / cfg.ticks as f64;
+    let baseline_ns = t_seed.elapsed().as_nanos() as f64 / ticks as f64;
 
-    // Streaming path: warm-up (fills the ring and faults in every
+    // Streaming path: warm-up (fills the prefix bank and faults in every
     // preallocated buffer), then timed with the allocation counter
     // bracketing exactly the timed loop.
     for p in &prims[..cfg.warmup] {
         black_box(streaming.observe(p, &target, phase));
     }
     let allocs_before = alloc_count.map(|f| f());
-    let t_stream = Instant::now();
-    for p in &prims[cfg.warmup..] {
-        black_box(streaming.observe(p, &target, phase));
-    }
-    let ns = t_stream.elapsed().as_nanos() as f64 / cfg.ticks as f64;
-    let allocations_per_tick = alloc_count.zip(allocs_before).map(|(f, before)| {
-        (f() - before) as f64 / cfg.ticks as f64
-    });
+    let times = time_ticks(
+        &mut streaming,
+        &prims[cfg.warmup..],
+        &target,
+        phase,
+        cfg.warmup,
+    );
+    let allocations_per_tick = alloc_count
+        .zip(allocs_before)
+        .map(|(f, before)| (f() - before) as f64 / ticks as f64);
+    let ns = times.all;
 
     PerfReport {
         config: *streaming.network_config(),
         decimate,
-        ticks: cfg.ticks,
+        ticks,
         ns_per_iter: ns,
+        push_tick_ns: times.push,
+        plain_tick_ns: times.plain,
         baseline_ns_per_iter: baseline_ns,
         ticks_per_sec: 1e9 / ns.max(f64::MIN_POSITIVE),
         speedup_vs_baseline: baseline_ns / ns.max(f64::MIN_POSITIVE),
@@ -613,6 +673,8 @@ impl PerfReport {
         ])?;
         json::require_positive(&[
             ("ns_per_iter", self.ns_per_iter),
+            ("push_tick_ns", self.push_tick_ns),
+            ("plain_tick_ns", self.plain_tick_ns),
             ("baseline_ns_per_iter", self.baseline_ns_per_iter),
             ("ticks_per_sec", self.ticks_per_sec),
             ("speedup_vs_baseline", self.speedup_vs_baseline),
@@ -665,6 +727,8 @@ pub fn to_json(r: &PerfReport) -> String {
             "ticks" => r.ticks,
         },
         "ns_per_iter" => Json::fixed(r.ns_per_iter, 1),
+        "push_tick_ns" => Json::fixed(r.push_tick_ns, 1),
+        "plain_tick_ns" => Json::fixed(r.plain_tick_ns, 1),
         "baseline_ns_per_iter" => Json::fixed(r.baseline_ns_per_iter, 1),
         "ticks_per_sec" => Json::fixed(r.ticks_per_sec, 1),
         "speedup_vs_baseline" => Json::fixed(r.speedup_vs_baseline, 2),
@@ -692,10 +756,12 @@ pub fn to_json(r: &PerfReport) -> String {
 pub fn write_report(r: &PerfReport) -> io::Result<()> {
     json::write_bench_report("BENCH_inference.json", &to_json(r))?;
     println!(
-        "exp_perf: streaming {:.0} ns/tick ({:.0} ticks/s), seed {:.0} ns/tick — {:.2}x; \
-         allocations/tick: {}",
+        "exp_perf: streaming {:.0} ns/tick ({:.0} ticks/s; push ticks {:.0} ns, plain ticks \
+         {:.0} ns), seed {:.0} ns/tick — {:.2}x; allocations/tick: {}",
         r.ns_per_iter,
         r.ticks_per_sec,
+        r.push_tick_ns,
+        r.plain_tick_ns,
         r.baseline_ns_per_iter,
         r.speedup_vs_baseline,
         r.allocations_per_tick
@@ -793,6 +859,8 @@ mod tests {
             decimate: 5,
             ticks: 2000,
             ns_per_iter: 512.345,
+            push_tick_ns: 1800.24,
+            plain_tick_ns: 190.04,
             baseline_ns_per_iter: 10250.96,
             ticks_per_sec: 1951814.25,
             speedup_vs_baseline: 20.0078,
@@ -837,10 +905,12 @@ mod tests {
     fn check_rejects_each_violated_property() {
         assert_eq!(fixed_report().check(), Ok(()));
         type Breaker = fn(&mut PerfReport);
-        let cases: [(&str, Breaker); 13] = [
+        let cases: [(&str, Breaker); 15] = [
             ("hidden is 0", |r| r.config.hidden = 0),
             ("ticks is 0", |r| r.ticks = 0),
             ("ns_per_iter", |r| r.ns_per_iter = 0.0),
+            ("push_tick_ns", |r| r.push_tick_ns = f64::NAN),
+            ("plain_tick_ns", |r| r.plain_tick_ns = -1.0),
             ("speedup_vs_baseline", |r| r.speedup_vs_baseline = f64::NAN),
             ("scalar_ns_per_vehicle_tick", |r| {
                 r.batched.scalar_ns_per_vehicle_tick = -1.0

@@ -5,9 +5,10 @@
 //! The noise model (variance gate + shadow estimator) runs upstream in
 //! [`crate::sanitizer::SensorSanitizer`]; this module owns the windowed
 //! LSTM inference pipeline: the online path ([`FfcModel::observe`], one
-//! control step at a time) and its offline twin for threshold
-//! calibration ([`FfcModel::replay`], whole traces through the batched
-//! engine). Both follow the ring and decimation rules written down here.
+//! control step at a time, over a bank of partial windows) and its
+//! offline twin for threshold calibration ([`FfcModel::replay`], whole
+//! traces through the batched engine). Both follow the window and
+//! decimation rules written down here.
 
 use crate::features::{assemble_into, FeatureSet, SensorPrimitives};
 use crate::gate::GateConfig;
@@ -15,7 +16,7 @@ use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
     BatchScratch, BatchedStreamingRegressor, InferenceScratch, LstmRegressor, RegressorConfig,
-    StreamState, StreamingRegressor,
+    StateBank, StreamingRegressor,
 };
 
 /// Lanes per batched replay chunk, prefixes and ticks alike: the batched
@@ -41,7 +42,7 @@ impl Default for PipelineConfig {
     }
 }
 
-/// A deployed FFC: rolling feature window + streaming LSTM engine.
+/// A deployed FFC: a bank of partial windows + streaming LSTM engine.
 ///
 /// Call [`FfcModel::observe`] every control step with *sanitized*
 /// primitives; the model decimates internally, refreshes its prediction
@@ -54,33 +55,36 @@ impl Default for PipelineConfig {
 /// path. The hot-path layout (see ARCHITECTURE.md, "Inference hot
 /// path"):
 ///
-/// - `ring` is a flat ring buffer of the last `window - 1` *sampled*
-///   feature rows, stored **already normalized** — each row is
-///   standardized exactly once, on ingest, instead of `window` times per
-///   refresh;
-/// - `prefix` caches the LSTM state after consuming the ring in order; it
-///   is recomputed only when a decimated push changes the history
-///   (every `decimate`-th step), so the per-tick refresh is a single
-///   fused LSTM step over the live row from a copy of `prefix`;
+/// - the window's history is never stored as rows. With
+///   `cap = window - 1`, `bank` holds `cap` *partial windows*: after a
+///   push, the lane restarted `j` pushes ago holds the LSTM state after
+///   the last `j` sampled rows, stepped from zero. Each sampled row is
+///   normalized once and stepped into every lane at once, as one
+///   `m`-row LSTM step;
+/// - the lane holding all `cap` rows is the *prefix*: the state after the
+///   whole history, oldest row first. The next push restarts it from
+///   zero, so every lane reaches `cap` rows once per `cap` pushes;
+/// - the bank's last lane is the *live* lane: each tick copies the prefix
+///   into it and steps this tick's row, then runs the dense stack. On a
+///   push tick the live lane is one more row of the push's step, since
+///   both read the same row;
 /// - all buffers are preallocated in [`FfcModel::new`]: after the first
 ///   `observe` call, the per-tick path performs zero heap allocation
-///   (asserted by the `exp_perf` bench harness).
+///   (asserted by the `observe_allocations` test and the `exp_perf`
+///   bench harness).
 #[derive(Debug, Clone)]
 pub struct FfcModel {
     regressor: LstmRegressor,
     engine: StreamingRegressor,
     feature_set: FeatureSet,
     pipeline: PipelineConfig,
-    /// Flat `[(window-1) * dim]` ring of normalized sampled rows.
-    ring: Vec<f64>,
-    /// Index of the oldest ring row.
-    ring_head: usize,
-    /// Number of valid ring rows (`<= window - 1`).
-    ring_len: usize,
-    /// Cached LSTM state after the ring rows, oldest to newest.
-    prefix: StreamState,
-    /// Working state for the per-tick live step.
-    live: StreamState,
+    /// `window - 1` partial-window lanes, then the live lane.
+    bank: StateBank,
+    /// The lane the next push restarts: the prefix once the history is
+    /// full.
+    head: usize,
+    /// Pushes so far, saturating at `window - 1` (the history is full).
+    pushes: usize,
     scratch: InferenceScratch,
     feat_buf: Vec<f64>,
     normed_buf: Vec<f64>,
@@ -115,13 +119,10 @@ impl FfcModel {
         );
         let engine = regressor.compile();
         let dim = feature_set.dim();
-        let history = regressor.config().window.saturating_sub(1);
         FfcModel {
-            ring: vec![0.0; history * dim],
-            ring_head: 0,
-            ring_len: 0,
-            prefix: engine.state(),
-            live: engine.state(),
+            bank: engine.bank(regressor.config().window),
+            head: 0,
+            pushes: 0,
             scratch: engine.scratch(),
             feat_buf: Vec::with_capacity(dim),
             normed_buf: vec![0.0; dim],
@@ -202,77 +203,65 @@ impl FfcModel {
             &ActuatorSignal::default(),
             &mut self.feat_buf,
         );
-        let n = self.engine.config().window;
-        // The ring stores the last n-1 *sampled* rows; the live row makes
-        // the window whole. A dimension error cannot occur here (shapes
-        // are pinned at construction); if it somehow did, the model holds
-        // its previous prediction — deterministic degradation, no panic
-        // in the control loop.
-        if self.ring_len == n - 1 && self.refresh_prediction().is_ok() {
-            let y = &self.out_buf;
-            self.last_prediction = Some(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]]));
-        }
-        if self.step_counter.is_multiple_of(self.pipeline.decimate) && n > 1 {
-            self.push_sample();
+        // A dimension error cannot occur here (shapes are pinned at
+        // construction); if it somehow did, the model holds its previous
+        // prediction — deterministic degradation, no panic in the control
+        // loop.
+        if let Ok(Some(y)) = self.step_bank() {
+            self.last_prediction = Some(y);
         }
         self.step_counter += 1;
         self.last_prediction
     }
 
-    /// One fused LSTM step over the live row from a copy of the cached
-    /// prefix state, then the dense stack. Allocation-free.
-    fn refresh_prediction(&mut self) -> Result<(), pidpiper_ml::PredictError> {
-        self.engine.normalize_into(&self.feat_buf, &mut self.normed_buf)?;
-        self.live.copy_from(&self.prefix);
-        self.engine
-            .step_normed(&self.normed_buf, &mut self.live, &mut self.scratch)?;
-        self.engine
-            .finish_into(&self.live, &mut self.scratch, &mut self.out_buf)
-    }
-
-    /// Normalizes the current features into the next ring slot and, once
-    /// the history is full, replays the ring to refresh the cached prefix
-    /// state. Runs only on decimated steps, so its O(window) cost is
-    /// amortized to `(window-1)/decimate` LSTM steps per tick.
-    fn push_sample(&mut self) {
-        let dim = self.feature_set.dim();
+    /// Normalizes this tick's features once and steps them through the
+    /// bank: the live lane when the history is full, and every started
+    /// partial window on a decimated push, as one lane range. Returns the
+    /// live lane's prediction, if the history was full. Allocation-free.
+    fn step_bank(&mut self) -> Result<Option<ActuatorSignal>, pidpiper_ml::PredictError> {
         let cap = self.engine.config().window - 1;
-        let slot = if self.ring_len == cap {
-            let s = self.ring_head;
-            self.ring_head = (self.ring_head + 1) % cap;
-            s
-        } else {
-            let s = (self.ring_head + self.ring_len) % cap;
-            self.ring_len += 1;
-            s
-        };
-        let row = &mut self.ring[slot * dim..(slot + 1) * dim];
-        if self.engine.normalize_into(&self.feat_buf, row).is_err() {
-            // Unreachable with construction-pinned shapes; leave the
-            // prefix untouched rather than poison it.
-            return;
-        }
-        if self.ring_len == cap {
-            self.prefix.reset();
-            for k in 0..cap {
-                let idx = (self.ring_head + k) % cap;
-                let row = &self.ring[idx * dim..(idx + 1) * dim];
-                if self
-                    .engine
-                    .step_normed(row, &mut self.prefix, &mut self.scratch)
-                    .is_err()
-                {
-                    return;
-                }
+        let live = cap;
+        let ready = self.pushes == cap;
+        let push = cap > 0 && self.step_counter.is_multiple_of(self.pipeline.decimate);
+        self.engine.normalize_into(&self.feat_buf, &mut self.normed_buf)?;
+        if ready {
+            // With no history (`window == 1`) the prefix is the zero state.
+            if cap == 0 {
+                self.bank.zero_lane(live);
+            } else {
+                self.bank.copy_lane(self.head, live);
             }
         }
+        if push {
+            self.bank.zero_lane(self.head);
+        }
+        // Lanes `0..=head` are the started partial windows until the
+        // history is full, then all `cap`; the live lane follows them.
+        let lanes = match (push, ready) {
+            (true, true) => 0..cap + 1,
+            (true, false) => 0..self.pushes + 1,
+            (false, true) => live..live + 1,
+            (false, false) => 0..0,
+        };
+        self.engine.step_lanes(&self.normed_buf, &mut self.bank, lanes)?;
+        if push {
+            self.head = (self.head + 1) % cap;
+            self.pushes = (self.pushes + 1).min(cap);
+        }
+        if !ready {
+            return Ok(None);
+        }
+        self.engine
+            .finish_lane_into(&self.bank, live, &mut self.scratch, &mut self.out_buf)?;
+        let y = &self.out_buf;
+        Ok(Some(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]])))
     }
 
     /// Resets all runtime state (between missions).
     pub fn reset(&mut self) {
-        self.ring_head = 0;
-        self.ring_len = 0;
-        self.prefix.reset();
+        self.bank.reset();
+        self.head = 0;
+        self.pushes = 0;
         self.step_counter = 0;
         self.last_prediction = None;
     }
@@ -285,10 +274,11 @@ impl FfcModel {
     /// is neither read nor changed.
     ///
     /// Every window is a lane of one [`BatchedStreamingRegressor`] pass.
-    /// With `cap = window - 1`, the ring after `p >= cap` pushes holds
+    /// With `cap = window - 1`, the history after `p >= cap` pushes is
     /// the sampled rows of ticks `(p - cap) * decimate ..= (p - 1) *
-    /// decimate`, and tick `t` reads the ring after `ceil(t / decimate)`
-    /// pushes (the push of a sampled tick lands after its own refresh).
+    /// decimate`, and tick `t` reads the history after
+    /// `ceil(t / decimate)` pushes (the push of a sampled tick lands
+    /// after its own refresh).
     /// The prefixes are taken in chunks of up to 64, across traces:
     ///
     /// - *prefix phase*: each prefix is a lane; all lanes step their `cap`
@@ -299,8 +289,8 @@ impl FfcModel {
     ///
     /// A chunk finishes its live ticks before the next chunk starts, so
     /// the lane state stays bounded on a trace of any length. Each tick's
-    /// row is normalized once; `observe` normalizes it again for the
-    /// ring, with the same expression and so the same bits.
+    /// row is normalized once, with the expression `observe` uses, so
+    /// the same bits.
     ///
     /// # Panics
     ///
@@ -420,8 +410,8 @@ impl ReplayRows {
 
 }
 
-/// One prefix lane of a replay chunk: the ring of `trace` after `pushes`
-/// decimated pushes.
+/// One prefix lane of a replay chunk: the history of `trace` after
+/// `pushes` decimated pushes.
 #[derive(Debug, Clone, Copy)]
 struct PrefixLane {
     trace: usize,
@@ -611,6 +601,18 @@ mod tests {
             ..*a.pipeline()
         };
         assert!(FfcModel::from_text(&a.to_text(), FeatureSet::FfcPruned, pipeline).is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_bad_model_stats() {
+        let a = tiny_model();
+        let text = a.to_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let zero_std = vec!["0e0"; a.feature_set().dim()].join(" ");
+        lines[3] = &zero_std;
+        let err = FfcModel::from_text(&lines.join("\n"), FeatureSet::FfcPruned, *a.pipeline())
+            .expect_err("a zero input std must not load");
+        assert!(err.contains("std 0 is 0"), "{err}");
     }
 
     #[test]

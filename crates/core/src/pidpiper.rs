@@ -832,6 +832,25 @@ mod tests {
     }
 
     #[test]
+    fn deployment_rejects_bad_model_dimensions_and_stats() {
+        let text = tiny_pidpiper().to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        let model = lines
+            .iter()
+            .position(|l| *l == "pidpiper-lstm-regressor v1")
+            .expect("embedded model header");
+        let edit = |offset: usize, with: &str| {
+            let mut edited = lines.clone();
+            edited[model + offset] = with;
+            PidPiper::from_text(&edited.join("\n"))
+        };
+        let dims: Vec<&str> = lines[model + 1].split_whitespace().collect();
+        let zero_window = format!("{} {} {} {} 0", dims[0], dims[1], dims[2], dims[3]);
+        assert!(edit(1, &zero_window).is_err_and(|e| e.contains("window is 0")));
+        assert!(edit(5, "").is_err_and(|e| e.contains("target stats: 4 means but 0 stds")));
+    }
+
+    #[test]
     #[should_panic(expected = "drift")]
     fn invalid_config_rejected() {
         let pp = tiny_pidpiper();

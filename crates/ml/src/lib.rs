@@ -68,4 +68,4 @@ pub use network::{LstmRegressor, RegressorConfig, TrainReport};
 pub use normalize::Normalizer;
 pub use param::Param;
 pub use selection::{greedy_forward_selection, vif_prune};
-pub use stream::{InferenceScratch, PredictError, StreamState, StreamingRegressor};
+pub use stream::{InferenceScratch, PredictError, StateBank, StreamState, StreamingRegressor};

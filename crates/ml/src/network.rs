@@ -60,6 +60,12 @@ impl RegressorConfig {
         }
     }
 
+    /// The largest dimension a model text may declare
+    /// ([`LstmRegressor::from_text`]): ten times the deployed FFC's widest
+    /// (24). It bounds what a well-formed but hostile text can make the
+    /// loader allocate (a few tens of MB at 256 in every dimension).
+    pub const MAX_TEXT_DIM: usize = 256;
+
     /// Validates the configuration.
     ///
     /// # Panics
@@ -71,6 +77,30 @@ impl RegressorConfig {
         assert!(self.hidden > 0, "hidden must be positive");
         assert!(self.fc_width > 0, "fc_width must be positive");
         assert!(self.window > 0, "window must be positive");
+    }
+
+    /// The checks a model text's dimensions must pass before anything is
+    /// built from them: every dimension in `1..=MAX_TEXT_DIM`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first dimension out of range.
+    fn check_text_dims(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("input_dim", self.input_dim),
+            ("output_dim", self.output_dim),
+            ("hidden", self.hidden),
+            ("fc_width", self.fc_width),
+            ("window", self.window),
+        ] {
+            if v == 0 || v > Self::MAX_TEXT_DIM {
+                return Err(format!(
+                    "{name} is {v}, expected 1..={}",
+                    Self::MAX_TEXT_DIM
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -388,6 +418,11 @@ impl LstmRegressor {
 
     /// Deserializes a model written by [`LstmRegressor::to_text`].
     ///
+    /// Everything is checked before the network is built: every
+    /// dimension in `1..=`[`RegressorConfig::MAX_TEXT_DIM`], the
+    /// normalizer lines' lengths against the dimensions, and every
+    /// standard deviation finite and positive.
+    ///
     /// # Errors
     ///
     /// Returns a descriptive error string on any format violation.
@@ -413,6 +448,7 @@ impl LstmRegressor {
             fc_width: dims[3],
             window: dims[4],
         };
+        config.check_text_dims()?;
         let mut parse_line = |what: &str| -> Result<Vec<f64>, String> {
             lines
                 .next()
@@ -425,10 +461,27 @@ impl LstmRegressor {
         let in_std = parse_line("input std")?;
         let t_mean = parse_line("target mean")?;
         let t_std = parse_line("target std")?;
+        // The means are checked against the config here and each std line
+        // against its mean line by `Normalizer::from_stats`.
+        for (what, means, want) in [
+            ("input", &in_mean, config.input_dim),
+            ("target", &t_mean, config.output_dim),
+        ] {
+            if means.len() != want {
+                return Err(format!(
+                    "{what} mean has {} values, expected {want}",
+                    means.len()
+                ));
+            }
+        }
+        let normalizer =
+            Normalizer::from_stats(in_mean, in_std).map_err(|e| format!("input stats: {e}"))?;
+        let target_normalizer =
+            Normalizer::from_stats(t_mean, t_std).map_err(|e| format!("target stats: {e}"))?;
 
         let mut model = LstmRegressor::new(config, 0);
-        model.normalizer = Normalizer::from_stats(in_mean, in_std);
-        model.target_normalizer = Normalizer::from_stats(t_mean, t_std);
+        model.normalizer = normalizer;
+        model.target_normalizer = target_normalizer;
         let expected: Vec<usize> = model.params().iter().map(|p| p.len()).collect();
         for (i, want) in expected.iter().enumerate() {
             let vals = parse_line(&format!("parameter {i}"))?;
@@ -447,6 +500,76 @@ impl LstmRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A valid model text with line `line` (0 = header, 1 = dimensions,
+    /// 2..=5 = input mean, input std, target mean, target std) replaced.
+    fn edited_text(line: usize, with: &str) -> String {
+        let text = LstmRegressor::new(RegressorConfig::tiny(3, 2), 5).to_text();
+        assert!(LstmRegressor::from_text(&text).is_ok());
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[line] = with;
+        lines.join("\n")
+    }
+
+    fn rejected(line: usize, with: &str, why: &str) {
+        let err = LstmRegressor::from_text(&edited_text(line, with))
+            .expect_err("edited text must not load");
+        assert!(err.contains(why), "{err:?} does not mention {why:?}");
+    }
+
+    #[test]
+    fn from_text_rejects_zero_hidden() {
+        rejected(1, "3 2 0 6 5", "hidden is 0");
+    }
+
+    #[test]
+    fn from_text_rejects_zero_window() {
+        rejected(1, "3 2 6 6 0", "window is 0");
+    }
+
+    #[test]
+    fn from_text_rejects_a_huge_dimension_before_allocating() {
+        rejected(1, "3 2 1000000000000 6 5", "hidden is 1000000000000");
+        rejected(1, "3 2 6 257 5", "fc_width is 257");
+    }
+
+    #[test]
+    fn from_text_rejects_a_short_input_mean_line() {
+        rejected(2, "0e0 0e0", "input mean has 2 values, expected 3");
+    }
+
+    #[test]
+    fn from_text_rejects_a_short_input_std_line() {
+        rejected(3, "1e0 1e0", "input stats: 3 means but 2 stds");
+    }
+
+    #[test]
+    fn from_text_rejects_an_empty_target_std_line() {
+        rejected(5, "", "target stats: 2 means but 0 stds");
+    }
+
+    #[test]
+    fn from_text_rejects_stat_lines_longer_than_the_config() {
+        // Mean and std agree with each other but not with `input_dim`.
+        let text = edited_text(2, "0e0 0e0 0e0 0e0");
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[3] = "1e0 1e0 1e0 1e0";
+        let err = LstmRegressor::from_text(&lines.join("\n")).expect_err("must not load");
+        assert!(err.contains("input mean has 4 values"), "{err}");
+        rejected(4, "0e0 0e0 0e0", "target mean has 3 values, expected 2");
+    }
+
+    #[test]
+    fn from_text_rejects_a_zero_std() {
+        rejected(3, "1e0 0e0 1e0", "std 1 is 0");
+    }
+
+    #[test]
+    fn from_text_rejects_a_negative_or_non_finite_std() {
+        rejected(3, "1e0 -2e0 1e0", "std 1 is -2");
+        rejected(5, "NaN 1e0", "std 0 is NaN");
+        rejected(5, "1e0 inf", "std 1 is inf");
+    }
 
     fn toy_dataset(n: usize, window: usize) -> WindowedDataset {
         // Target depends on a temporal pattern: y = x(t) + 0.5 * x(t-2).

@@ -166,13 +166,22 @@ impl Normalizer {
 
     /// Reconstructs a normalizer from saved statistics.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if lengths differ or any std is non-positive.
-    pub fn from_stats(mean: Vec<f64>, std: Vec<f64>) -> Self {
-        assert_eq!(mean.len(), std.len(), "stats length mismatch");
-        assert!(std.iter().all(|s| *s > 0.0), "std must be positive");
-        Normalizer { mean, std }
+    /// Returns an error if `std` and `mean` differ in length or any std
+    /// is not finite and positive; names the first violation.
+    pub fn from_stats(mean: Vec<f64>, std: Vec<f64>) -> Result<Self, String> {
+        if mean.len() != std.len() {
+            return Err(format!("{} means but {} stds", mean.len(), std.len()));
+        }
+        if let Some((i, s)) = std
+            .iter()
+            .enumerate()
+            .find(|(_, s)| !(s.is_finite() && **s > 0.0))
+        {
+            return Err(format!("std {i} is {s}, expected finite and positive"));
+        }
+        Ok(Normalizer { mean, std })
     }
 }
 
@@ -222,6 +231,19 @@ mod tests {
     fn identity_passthrough() {
         let n = Normalizer::identity(3);
         assert_eq!(n.transform(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn from_stats_checks_lengths_and_stds() {
+        let n = Normalizer::from_stats(vec![1.0, 2.0], vec![0.5, 3.0]).expect("valid stats");
+        assert_eq!((n.means(), n.stds()), (&[1.0, 2.0][..], &[0.5, 3.0][..]));
+        assert!(Normalizer::from_stats(vec![1.0], vec![1.0, 1.0]).is_err());
+        for bad in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                Normalizer::from_stats(vec![0.0], vec![bad]).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

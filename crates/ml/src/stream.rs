@@ -14,18 +14,22 @@
 //!   `[input x output]` block, the transpose of `Dense::w`;
 //! - [`InferenceScratch`] — caller-owned preallocated working buffers;
 //! - [`StreamState`] — the `(h, c)` pair of both LSTM layers, exposed so
-//!   callers can checkpoint a partially-consumed window (the FFC caches
-//!   the state after its history rows and replays only the live row each
-//!   tick);
+//!   callers can checkpoint a partially-consumed window;
+//! - [`StateBank`] — the same states for several lanes at once, stored as
+//!   contiguous `[lanes x hidden]` rows and stepped together by
+//!   [`StreamingRegressor::step_lanes`] (the FFC keeps one lane per
+//!   partial window, so a new sample advances every window in one step);
 //! - [`StreamingRegressor::predict_into`] — a whole-window entry point
 //!   that is **bit-identical** to [`LstmRegressor::predict`] and performs
 //!   zero heap allocation after the scratch has been built.
 //!
-//! The k-major layout turns one step into single-row products
-//! `x^T · W` through `pidpiper_math::gemm::gemm_acc` (`m = 1`), which
-//! vectorise across the output units instead of running one scalar
-//! reduction per unit. The gate activations and the cell's `tanh` then
-//! run through the ISA-dispatched slice kernels of
+//! The k-major layout turns one step into row products `H · U` through
+//! `pidpiper_math::gemm::gemm_acc`, with the lanes as rows (`m = 1` for a
+//! single [`StreamState`], `m = lanes` for a [`StateBank`]) and the gate
+//! units as columns, so the products vectorise across the output units
+//! instead of running one scalar reduction per unit. A single state is
+//! the one-lane case of the same step. The gate activations and the
+//! cell's `tanh` then run through the ISA-dispatched slice kernels of
 //! `pidpiper_math::activations`.
 //!
 //! Bit-identity is load-bearing. Every output unit still owns one
@@ -34,7 +38,12 @@
 //! rounding step, and the `h` pass adds a second accumulator in another,
 //! so a gate reads `(bias + Σ w·x) + Σ u·h` — the exact f64 operation
 //! order of `Param::matvec_into` as called by the reference path (`x·w`
-//! and `w·x` round identically). Dense layers are the same single pass,
+//! and `w·x` round identically). When every lane of a bank steps the
+//! same input row, layer 1's `bias + Σ w·x` is the same value for every
+//! lane, so it is computed once and copied into each lane's gate row
+//! before that lane adds its own `Σ u·h`. The GEMM gives every row its
+//! own chain, so a lane's bits do not depend on how many lanes step with
+//! it. Dense layers are the same single pass,
 //! `bias + Σ w·x`. The slice kernels apply the same per-element ops as the
 //! scalar activations. Tests in this module and `crates/ml/tests` compare
 //! outputs with `f64::to_bits`, not an epsilon.
@@ -50,6 +59,7 @@ use crate::normalize::Normalizer;
 use pidpiper_math::activations::{fast_sigmoid_slice, fast_tanh_slice};
 use pidpiper_math::gemm::gemm_acc;
 use std::fmt;
+use std::ops::Range;
 
 /// Transposes a row-major `[rows x cols]` matrix into a row-major
 /// `[cols x rows]` one. Copies only, so the values keep their bits.
@@ -109,6 +119,14 @@ pub enum PredictError {
         /// `RegressorConfig::output_dim`.
         expected: usize,
     },
+    /// A lane range runs past a [`StateBank`], or the bank was built for
+    /// another engine shape.
+    LaneRange {
+        /// End of the requested lane range.
+        end: usize,
+        /// Lanes in the bank.
+        lanes: usize,
+    },
 }
 
 impl fmt::Display for PredictError {
@@ -127,6 +145,9 @@ impl fmt::Display for PredictError {
             ),
             PredictError::OutputLength { got, expected } => {
                 write!(f, "output length mismatch: got {got}, expected {expected}")
+            }
+            PredictError::LaneRange { end, lanes } => {
+                write!(f, "lane range ends at {end}, the bank has {lanes} lanes")
             }
         }
     }
@@ -171,37 +192,80 @@ impl FusedLstm {
         transpose(&self.cols, self.input + self.hidden, 4 * self.hidden)
     }
 
-    /// One cell update, in place. `pre` must hold at least `4*hidden`
-    /// slots. The accumulation order — `(bias + w·x) + u·h`, each dot
-    /// product summed in ascending `k` into its own accumulator — mirrors
+    /// One cell update of `m` lanes, in place. `h` and `c` are
+    /// `[m x hidden]` lane rows and `pre` must hold at least
+    /// `m * 4*hidden` slots (the gate panel, one row per lane). The
+    /// accumulation order — `(bias + w·x) + u·h`, each dot product summed
+    /// in ascending `k` into its own accumulator — mirrors
     /// `Param::matvec_into` exactly; changing it breaks bit-identity with
     /// the reference path.
-    fn step(&self, x: &[f64], h: &mut [f64], c: &mut [f64], pre: &mut [f64]) {
+    #[inline(always)]
+    fn step(&self, x: LayerInput<'_>, h: &mut [f64], c: &mut [f64], pre: &mut [f64], m: usize) {
         let hd = self.hidden;
         let g = 4 * hd;
-        debug_assert_eq!(x.len(), self.input);
-        debug_assert_eq!(h.len(), hd);
-        debug_assert_eq!(c.len(), hd);
-        let pre = &mut pre[..g];
+        debug_assert_eq!(h.len(), m * hd);
+        debug_assert_eq!(c.len(), m * hd);
+        let pre = &mut pre[..m * g];
         let (w_cols, u_cols) = self.cols.split_at(self.input * g);
-        affine_into(x, w_cols, &self.bias, pre);
-        gemm_acc(h, hd, 1, hd, u_cols, g, pre, g, g);
-        // i/f/o gates are the contiguous sigmoid units, g the tanh ones.
-        fast_sigmoid_slice(&mut pre[..3 * hd]);
-        fast_tanh_slice(&mut pre[3 * hd..]);
+        match x {
+            // `bias + W·x` is the same for every lane: compute it once.
+            LayerInput::Shared(x) => {
+                debug_assert_eq!(x.len(), self.input);
+                let (first, rest) = pre.split_at_mut(g);
+                affine_into(x, w_cols, &self.bias, first);
+                for row in rest.chunks_exact_mut(g) {
+                    row.copy_from_slice(first);
+                }
+            }
+            LayerInput::Lanes(x) => {
+                debug_assert_eq!(x.len(), m * self.input);
+                for row in pre.chunks_exact_mut(g) {
+                    row.copy_from_slice(&self.bias);
+                }
+                gemm_acc(x, self.input, m, self.input, w_cols, g, pre, g, g);
+            }
+        }
+        gemm_acc(h, hd, m, hd, u_cols, g, pre, g, g);
+        for row in pre.chunks_exact_mut(g) {
+            // i/f/o gates are the contiguous sigmoid units, g the tanh ones.
+            let (sig, cand) = row.split_at_mut(3 * hd);
+            fast_sigmoid_slice(sig);
+            fast_tanh_slice(cand);
+        }
         // Cell update staged as in the batched panel step, so `tanh(c)`
         // also runs through the slice kernel: `h = o * tanh(f*c + i*g)`
         // per element, the reference's op sequence.
-        for j in 0..hd {
-            let cj = pre[hd + j] * c[j] + pre[j] * pre[3 * hd + j];
-            c[j] = cj;
-            h[j] = cj;
+        for ((row, c), h) in pre
+            .chunks_exact(g)
+            .zip(c.chunks_exact_mut(hd))
+            .zip(h.chunks_exact_mut(hd))
+        {
+            let (i, rest) = row.split_at(hd);
+            let (f, rest) = rest.split_at(hd);
+            let cand = &rest[hd..];
+            let units = c.iter_mut().zip(h.iter_mut()).zip(i).zip(f).zip(cand);
+            for ((((cj, hj), &ij), &fj), &gj) in units {
+                let v = fj * *cj + ij * gj;
+                *cj = v;
+                *hj = v;
+            }
         }
         fast_tanh_slice(h);
-        for (hj, oj) in h.iter_mut().zip(&pre[2 * hd..3 * hd]) {
-            *hj *= oj;
+        for (row, h) in pre.chunks_exact(g).zip(h.chunks_exact_mut(hd)) {
+            for (hj, oj) in h.iter_mut().zip(&row[2 * hd..3 * hd]) {
+                *hj *= oj;
+            }
         }
     }
+}
+
+/// The input of one [`FusedLstm::step`].
+#[derive(Clone, Copy)]
+enum LayerInput<'a> {
+    /// One row that every lane steps (layer 1 of a bank step).
+    Shared(&'a [f64]),
+    /// `[m x input]` rows, one per lane (layer 2 reads layer 1's `h`).
+    Lanes(&'a [f64]),
 }
 
 /// One dense layer compiled for single-lane inference: the weights
@@ -305,6 +369,83 @@ impl StreamState {
     pub fn resident_bytes(&self) -> usize {
         (self.h1.len() + self.c1.len() + self.h2.len() + self.c2.len())
             * std::mem::size_of::<f64>()
+    }
+}
+
+/// Hidden/cell states of both LSTM layers for several lanes, stepped
+/// together.
+///
+/// Each state vector is a contiguous `[lanes x hidden]` block, lane `j`
+/// in row `j`, so [`StreamingRegressor::step_lanes`] runs the lanes as
+/// the rows of one GEMM over the engine's k-major weights. The bank also
+/// owns the `[lanes x 4*hidden]` gate panel that step works in; all five
+/// blocks share one allocation. A lane steps to the same bits as a
+/// [`StreamState`] fed the same rows. Build via
+/// [`StreamingRegressor::bank`]; nothing allocates after that.
+#[derive(Debug, Clone)]
+pub struct StateBank {
+    hidden: usize,
+    lanes: usize,
+    /// `[h1 | c1 | h2 | c2 | pre]`: four `[lanes x hidden]` state blocks,
+    /// then the gate panel, one `4*hidden` row per lane.
+    buf: Vec<f64>,
+}
+
+impl StateBank {
+    fn zeros(hidden: usize, lanes: usize) -> Self {
+        StateBank {
+            hidden,
+            lanes,
+            buf: vec![0.0; 8 * lanes * hidden],
+        }
+    }
+
+    /// The blocks `[h1, c1, h2, c2, pre]`.
+    fn blocks(&mut self) -> [&mut [f64]; 5] {
+        let n = self.lanes * self.hidden;
+        let (h1, rest) = self.buf.split_at_mut(n);
+        let (c1, rest) = rest.split_at_mut(n);
+        let (h2, rest) = rest.split_at_mut(n);
+        let (c2, pre) = rest.split_at_mut(n);
+        [h1, c1, h2, c2, pre]
+    }
+
+    /// Where lane `lane` starts in state block `block` (0..4 for
+    /// `h1, c1, h2, c2`).
+    fn at(&self, block: usize, lane: usize) -> usize {
+        (block * self.lanes + lane) * self.hidden
+    }
+
+    /// Resets every lane to the zero state.
+    pub fn reset(&mut self) {
+        let states = self.at(4, 0);
+        self.buf[..states].fill(0.0);
+    }
+
+    /// Resets lane `lane` to the zero state (the start of a window).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn zero_lane(&mut self, lane: usize) {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        for block in 0..4 {
+            let at = self.at(block, lane);
+            self.buf[at..at + self.hidden].fill(0.0);
+        }
+    }
+
+    /// Overwrites lane `dst` with lane `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either lane is out of range.
+    pub fn copy_lane(&mut self, src: usize, dst: usize) {
+        assert!(src.max(dst) < self.lanes, "lanes {src}, {dst} of {}", self.lanes);
+        for block in 0..4 {
+            let (from, to) = (self.at(block, src), self.at(block, dst));
+            self.buf.copy_within(from..from + self.hidden, to);
+        }
     }
 }
 
@@ -422,10 +563,17 @@ impl StreamingRegressor {
         InferenceScratch::for_config(&self.config)
     }
 
-    /// Bytes a long-lived session must keep *resident between ticks* to
-    /// stream this engine: one checkpoint [`StreamState`] (`4 * hidden`
-    /// f64s) plus a normalized history ring of `window - 1` feature rows
-    /// (`(window - 1) * input_dim` f64s).
+    /// A zero [`StateBank`] of `lanes` lanes sized for this engine.
+    pub fn bank(&self, lanes: usize) -> StateBank {
+        StateBank::zeros(self.config.hidden, lanes)
+    }
+
+    /// Bytes a long-lived fleet session must keep *resident between
+    /// ticks* to stream this engine: one checkpoint [`StreamState`]
+    /// (`4 * hidden` f64s) plus a normalized history ring of `window - 1`
+    /// feature rows (`(window - 1) * input_dim` f64s). This sizes the
+    /// fleet's ring session, not the single-vehicle FFC, which keeps a
+    /// [`StateBank`] of partial windows instead of a ring.
     ///
     /// Engine weights and the [`InferenceScratch`] are shared across any
     /// number of sessions and are deliberately excluded — this is the
@@ -491,6 +639,73 @@ impl StreamingRegressor {
         Ok(())
     }
 
+    /// Advances lanes `lanes` of `bank` by the same *already-normalized*
+    /// input row, as one `m`-row step (`m = lanes.len()`). Each lane ends
+    /// with the bits [`StreamingRegressor::step_normed`] would give a
+    /// [`StreamState`] holding that lane; lanes outside the range are
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::FeatureDim`] if the row has the wrong
+    /// length and [`PredictError::LaneRange`] if the range runs past the
+    /// bank.
+    pub fn step_lanes(
+        &self,
+        x_normed: &[f64],
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+    ) -> Result<(), PredictError> {
+        if x_normed.len() != self.config.input_dim {
+            return Err(PredictError::FeatureDim {
+                step: 0,
+                got: x_normed.len(),
+                expected: self.config.input_dim,
+            });
+        }
+        if lanes.end > bank.lanes || bank.hidden != self.config.hidden {
+            return Err(PredictError::LaneRange {
+                end: lanes.end,
+                lanes: bank.lanes,
+            });
+        }
+        let m = lanes.len();
+        if m == 0 {
+            return Ok(());
+        }
+        let hd = self.config.hidden;
+        let at = lanes.start * hd..lanes.end * hd;
+        let [h1, c1, h2, c2, pre] = bank.blocks();
+        let (h1, c1) = (&mut h1[at.clone()], &mut c1[at.clone()]);
+        self.lstm1.step(LayerInput::Shared(x_normed), h1, c1, pre, m);
+        self.lstm2
+            .step(LayerInput::Lanes(h1), &mut h2[at.clone()], &mut c2[at], pre, m);
+        Ok(())
+    }
+
+    /// [`StreamingRegressor::finish_into`] from lane `lane` of `bank`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::LaneRange`] if the lane is out of range and
+    /// [`PredictError::OutputLength`] if `out` has the wrong length.
+    pub fn finish_lane_into(
+        &self,
+        bank: &StateBank,
+        lane: usize,
+        scratch: &mut InferenceScratch,
+        out: &mut [f64],
+    ) -> Result<(), PredictError> {
+        if lane >= bank.lanes || bank.hidden != self.config.hidden {
+            return Err(PredictError::LaneRange {
+                end: lane + 1,
+                lanes: bank.lanes,
+            });
+        }
+        let at = bank.at(2, lane);
+        self.finish_checked(&bank.buf[at..at + bank.hidden], scratch, out)
+    }
+
     /// Runs the dense stack from `state` and writes the de-normalized
     /// prediction into `out`.
     ///
@@ -504,6 +719,16 @@ impl StreamingRegressor {
         scratch: &mut InferenceScratch,
         out: &mut [f64],
     ) -> Result<(), PredictError> {
+        self.finish_checked(&state.h2, scratch, out)
+    }
+
+    /// The dense stack from layer 2's `h`, after checking `out`.
+    fn finish_checked(
+        &self,
+        h2: &[f64],
+        scratch: &mut InferenceScratch,
+        out: &mut [f64],
+    ) -> Result<(), PredictError> {
         if out.len() != self.config.output_dim {
             return Err(PredictError::OutputLength {
                 got: out.len(),
@@ -513,7 +738,7 @@ impl StreamingRegressor {
         let InferenceScratch {
             fc_a, fc_b, z, ..
         } = scratch;
-        self.finish_raw(state, fc_a, fc_b, z, out);
+        self.finish_raw(h2, fc_a, fc_b, z, out);
         Ok(())
     }
 
@@ -567,29 +792,31 @@ impl StreamingRegressor {
             self.normalizer.transform_into(row, normed);
             self.step_raw(normed, state, pre);
         }
-        self.finish_raw(state, fc_a, fc_b, z, out);
+        self.finish_raw(&state.h2, fc_a, fc_b, z, out);
         Ok(())
     }
 
-    /// Core LSTM double-step: layer 1 consumes `x`, layer 2 consumes the
-    /// *updated* `h1` — the same ordering as the reference loop.
+    /// Core LSTM double-step, the one-lane case of
+    /// [`StreamingRegressor::step_lanes`]: layer 1 consumes `x`, layer 2
+    /// consumes the *updated* `h1` — the same ordering as the reference
+    /// loop.
     fn step_raw(&self, x: &[f64], state: &mut StreamState, pre: &mut [f64]) {
         let StreamState { h1, c1, h2, c2 } = state;
-        self.lstm1.step(x, h1, c1, pre);
-        self.lstm2.step(h1, h2, c2, pre);
+        self.lstm1.step(LayerInput::Shared(x), h1, c1, pre, 1);
+        self.lstm2.step(LayerInput::Lanes(h1), h2, c2, pre, 1);
     }
 
     /// Dense stack + de-normalization, ping-ponging between the two fc
     /// buffers so no layer reads and writes the same slice.
     fn finish_raw(
         &self,
-        state: &StreamState,
+        h2: &[f64],
         fc_a: &mut [f64],
         fc_b: &mut [f64],
         z: &mut [f64],
         out: &mut [f64],
     ) {
-        self.fc_sigmoid.infer_into(&state.h2, fc_a);
+        self.fc_sigmoid.infer_into(h2, fc_a);
         self.fc_prelu1.infer_into(fc_a, fc_b);
         self.fc_prelu2.infer_into(fc_b, fc_a);
         self.head.infer_into(fc_a, z);
@@ -734,6 +961,55 @@ mod tests {
         assert_eq!(
             scratch.resident_bytes(),
             expected_state + (c.input_dim + 4 * c.hidden + 2 * c.fc_width + c.output_dim) * 8
+        );
+    }
+
+    #[test]
+    fn lane_steps_match_single_state_steps() {
+        // Window 5 at hidden 6: lane `j` starts after `j` rows, so the
+        // lanes step different states through the same rows; the range
+        // `1..4` leaves lanes 0 and 4 alone.
+        let model = trained_tiny();
+        let engine = model.compile();
+        let mut scratch = engine.scratch();
+        let mut bank = engine.bank(5);
+        let mut states: Vec<StreamState> = (0..5).map(|_| engine.state()).collect();
+        let mut normed = vec![0.0; 2];
+        let lane = |bank: &StateBank, j: usize| {
+            let block = |b: usize| bank.buf[bank.at(b, j)..bank.at(b, j) + 6].to_vec();
+            StreamState {
+                h1: block(0),
+                c1: block(1),
+                h2: block(2),
+                c2: block(3),
+            }
+        };
+        for (t, row) in window_for(&model, 0.7).iter().enumerate() {
+            engine.normalize_into(row, &mut normed).expect("dims");
+            let lanes = if t == 4 { 1..4 } else { 0..t + 1 };
+            engine.step_lanes(&normed, &mut bank, lanes.clone()).expect("in range");
+            for j in lanes {
+                engine.step_normed(&normed, &mut states[j], &mut scratch).expect("dims");
+            }
+            for (j, s) in states.iter().enumerate() {
+                assert_eq!(&lane(&bank, j), s, "row {t}, lane {j}");
+            }
+        }
+        let (mut a, mut b) = ([0.0], [0.0]);
+        engine.finish_lane_into(&bank, 2, &mut scratch, &mut a).expect("in range");
+        engine.finish_into(&states[2], &mut scratch, &mut b).expect("dims");
+        assert_eq!(a[0].to_bits(), b[0].to_bits());
+        bank.copy_lane(2, 4);
+        assert_eq!(lane(&bank, 4), states[2]);
+        bank.zero_lane(2);
+        assert_eq!(lane(&bank, 2), engine.state());
+        assert_eq!(
+            engine.step_lanes(&normed, &mut bank, 3..6),
+            Err(PredictError::LaneRange { end: 6, lanes: 5 })
+        );
+        assert_eq!(
+            engine.finish_lane_into(&bank, 5, &mut scratch, &mut a),
+            Err(PredictError::LaneRange { end: 6, lanes: 5 })
         );
     }
 
