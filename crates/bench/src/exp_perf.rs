@@ -21,14 +21,16 @@
 //! `pidpiper-bench-perf` binary runs this with a counting global
 //! allocator and fails if the streaming loop allocates at all.
 //!
-//! The `batched` section measures the PR-10 fleet kernels: N sessions'
-//! per-tick inference fused into cache-blocked matrix–matrix products
-//! ([`BatchedStreamingRegressor`]), timed as ns per *vehicle*-tick at
-//! batch sizes 1/7/16/52/64/256 against the per-session streaming loop over
-//! the same states and rows. Before each point is timed, both paths run
-//! the same ticks and every output **and** every LSTM state is compared
-//! with `f64::to_bits` — a divergence panics (nonzero exit from the
-//! binary), so a non-identical kernel can never report a speedup.
+//! The `batched` section measures the fleet's lane-row step: N sessions'
+//! per-tick inference as the rows of one `m`-row LSTM step and dense
+//! stack ([`BatchedStreamingRegressor`]), with each session's state
+//! copied into its lane and back out as the shards do, timed as ns per
+//! *vehicle*-tick at batch sizes 1/7/16/52/64/256 against the
+//! per-session streaming loop over the same states and rows. Before
+//! each point is timed, both paths run the same ticks and every output
+//! **and** every LSTM state is compared with `f64::to_bits` — a
+//! divergence panics (nonzero exit from the binary), so a non-identical
+//! step can never report a speedup.
 //!
 //! The `calibration` section measures threshold calibration's model
 //! replay: one synthetic trace of [`CALIBRATION_TICKS`] ticks through
@@ -47,7 +49,8 @@ use pidpiper_math::json_object;
 use pidpiper_math::Vec3;
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
-    BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState, StreamingRegressor,
+    BatchScratch, BatchedStreamingRegressor, InferenceScratch, LstmRegressor, RegressorConfig,
+    StreamState, StreamingRegressor,
 };
 use pidpiper_sensors::{EstimatedState, SensorReadings};
 use std::collections::VecDeque;
@@ -140,15 +143,15 @@ pub struct CalibrationPerf {
 pub struct BatchPoint {
     /// Active lanes in the batch.
     pub batch: usize,
-    /// Nanoseconds per vehicle-tick (gather + GEMM step/finish + scatter,
-    /// divided by `batch`).
+    /// Nanoseconds per vehicle-tick (state and row copied in, lane-row
+    /// step and finish, state and output copied out, divided by `batch`).
     pub ns_per_vehicle_tick: f64,
     /// Per-session streaming ns/vehicle-tick divided by this point's.
     pub speedup_vs_streaming: f64,
 }
 
-/// The `batched` section of [`PerfReport`]: fleet GEMM kernels vs the
-/// per-session streaming loop.
+/// The `batched` section of [`PerfReport`]: the fleet's lane-row step vs
+/// the per-session streaming loop.
 #[derive(Debug, Clone)]
 pub struct BatchedPerf {
     /// Per-session streaming loop cost, ns per vehicle-tick.
@@ -159,8 +162,8 @@ pub struct BatchedPerf {
 }
 
 /// Batch sizes the batched section measures. 7 and 52 are ragged widths
-/// (a short training group, a staggered fleet's replay chunk), whose
-/// last `n % 8` lanes run the GEMM's masked tile.
+/// (a short training group, a staggered fleet's replay chunk); as lane
+/// rows they are just fewer GEMM rows.
 const BATCH_POINTS: [usize; 6] = [1, 7, 16, 52, 64, 256];
 /// Lanes in the per-session scalar baseline loop.
 const SCALAR_LANES: usize = 64;
@@ -208,11 +211,12 @@ fn batch_fixture(
     (pool, states)
 }
 
-/// Runs `ticks` fleet-shaped batched iterations (gather, GEMM step +
-/// finish, scatter) over `states`, mutating them in place.
+/// Runs `ticks` fleet-shaped batched iterations over `states`, mutating
+/// them in place: each lane's state and row copied in, one lane-row step
+/// and finish, each lane's state and output copied out.
 fn batched_ticks(
     batched: &BatchedStreamingRegressor,
-    scratch: &mut pidpiper_ml::BatchScratch,
+    scratch: &mut BatchScratch,
     pool: &[Vec<f64>],
     states: &mut [StreamState],
     out: &mut [f64],
@@ -220,18 +224,18 @@ fn batched_ticks(
     ticks: usize,
 ) {
     let n = states.len();
-    // Reused per-tick row-reference table for the bulk gather (allocated
-    // once per run, outside the timed tick loop's steady state).
-    let mut rows: Vec<&[f64]> = Vec::with_capacity(n);
+    let odim = out.len() / n.max(1);
     for t in start..start + ticks {
-        rows.clear();
-        rows.extend((0..n).map(|lane| pool[(t + lane) % ROW_POOL].as_slice()));
-        scratch.load_states(states);
-        scratch.load_rows(&rows);
+        for (lane, s) in states.iter().enumerate() {
+            scratch.load_state(lane, s);
+            scratch.load_row(lane, &pool[(t + lane) % ROW_POOL]);
+        }
         batched.step_batch(scratch, n);
         batched.finish_batch(scratch, n);
-        scratch.store_states(states);
-        scratch.read_outputs(out);
+        for (lane, s) in states.iter_mut().enumerate() {
+            scratch.store_state(lane, s);
+            scratch.read_output(lane, &mut out[lane * odim..(lane + 1) * odim]);
+        }
         black_box(&mut *out);
     }
 }
@@ -240,7 +244,7 @@ fn batched_ticks(
 /// through `step_normed` + `finish_into`, one session at a time.
 fn scalar_ticks(
     engine: &StreamingRegressor,
-    inf: &mut pidpiper_ml::InferenceScratch,
+    inf: &mut InferenceScratch,
     pool: &[Vec<f64>],
     states: &mut [StreamState],
     out: &mut [f64],
@@ -282,15 +286,7 @@ fn assert_batched_agrees(
     let mut scalar_out = vec![0.0; n * odim];
     for t in 0..GATE_TICKS {
         batched_ticks(batched, &mut scratch, pool, &mut batch_states, &mut batch_out, t, 1);
-        // The scalar twin walks the same (t + lane) row schedule.
-        for (lane, s) in scalar_states.iter_mut().enumerate() {
-            engine
-                .step_normed(&pool[(t + lane) % ROW_POOL], s, &mut inf)
-                .expect("dim matches");
-            engine
-                .finish_into(s, &mut inf, &mut scalar_out[lane * odim..(lane + 1) * odim])
-                .expect("dim matches");
-        }
+        scalar_ticks(engine, &mut inf, pool, &mut scalar_states, &mut scalar_out, t, 1);
         for (a, b) in batch_out.iter().zip(&scalar_out) {
             assert_eq!(
                 a.to_bits(),

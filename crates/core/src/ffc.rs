@@ -19,8 +19,10 @@ use pidpiper_ml::{
     StateBank, StreamingRegressor,
 };
 
-/// Lanes per batched replay chunk, prefixes and ticks alike: the batched
-/// engine's column window, so every chunk's panels stay cache-resident.
+/// Lanes per batched replay chunk, prefixes and ticks alike: the fleet's
+/// chunk width. One scratch holds both kinds, prefix lanes
+/// `0..REPLAY_LANES` and tick lanes after them, so a chunk's rows stay
+/// cache-resident.
 const REPLAY_LANES: usize = 64;
 
 /// Runtime pipeline configuration shared by FFC and FBC models.
@@ -273,19 +275,20 @@ impl FfcModel {
     /// warm-up, where `observe` returns `None`. This model's runtime state
     /// is neither read nor changed.
     ///
-    /// Every window is a lane of one [`BatchedStreamingRegressor`] pass.
-    /// With `cap = window - 1`, the history after `p >= cap` pushes is
-    /// the sampled rows of ticks `(p - cap) * decimate ..= (p - 1) *
-    /// decimate`, and tick `t` reads the history after
-    /// `ceil(t / decimate)` pushes (the push of a sampled tick lands
-    /// after its own refresh).
+    /// Every window is a lane of a [`BatchedStreamingRegressor`] step, a
+    /// row of its GEMMs. With `cap = window - 1`, the history after
+    /// `p >= cap` pushes is the sampled rows of ticks
+    /// `(p - cap) * decimate ..= (p - 1) * decimate`, and tick `t` reads
+    /// the history after `ceil(t / decimate)` pushes (the push of a
+    /// sampled tick lands after its own refresh).
     /// The prefixes are taken in chunks of up to 64, across traces:
     ///
     /// - *prefix phase*: each prefix is a lane; all lanes step their `cap`
     ///   rows together from the zero state;
     /// - *live phase*: each tick that reads one of those prefixes is a
-    ///   lane that starts from its prefix's state, steps its own row and
-    ///   runs the dense stack.
+    ///   lane of the same scratch, past the prefix lanes; it starts from
+    ///   a copy of its prefix's lane, steps its own row and runs the
+    ///   dense stack, up to 64 ticks per step.
     ///
     /// A chunk finishes its live ticks before the next chunk starts, so
     /// the lane state stays bounded on a trace of any length. Each tick's
@@ -324,18 +327,14 @@ impl FfcModel {
             start += n;
         }
         let mut replay = Replay {
-            prefix: batched.scratch(REPLAY_LANES),
-            live: batched.scratch(REPLAY_LANES),
+            scratch: batched.scratch(2 * REPLAY_LANES),
             batched,
             rows: &normed,
             dim,
             cap,
             decimate,
             starts,
-            lane_rows: Vec::with_capacity(REPLAY_LANES),
-            live_src: Vec::with_capacity(REPLAY_LANES),
             live_trace: Vec::with_capacity(REPLAY_LANES),
-            out: vec![0.0; REPLAY_LANES * ActuatorSignal::DIM],
             series: ticks
                 .iter()
                 .map(|&n| Vec::with_capacity(n.saturating_sub(warmup)))
@@ -422,11 +421,10 @@ struct PrefixLane {
 
 /// Working set of one [`FfcModel::replay`] call.
 struct Replay<'a> {
-    batched: BatchedStreamingRegressor,
-    /// Prefix lanes of the current chunk.
-    prefix: BatchScratch,
-    /// Tick lanes, each loaded from its prefix lane.
-    live: BatchScratch,
+    batched: BatchedStreamingRegressor<'a>,
+    /// Prefix lanes `0..REPLAY_LANES` of the current chunk, then the
+    /// pending tick lanes, each started from its prefix lane.
+    scratch: BatchScratch,
     /// Normalized rows of every trace, back to back.
     rows: &'a [f64],
     dim: usize,
@@ -434,13 +432,8 @@ struct Replay<'a> {
     decimate: usize,
     /// First tick of each trace in `rows`.
     starts: Vec<usize>,
-    /// Row of each lane in the next batched step.
-    lane_rows: Vec<&'a [f64]>,
-    /// Prefix lane and trace of each pending tick lane.
-    live_src: Vec<usize>,
+    /// Trace of each pending tick lane.
     live_trace: Vec<usize>,
-    /// Lane-major outputs of one live batch.
-    out: Vec<f64>,
     series: Vec<Vec<ActuatorSignal>>,
 }
 
@@ -457,17 +450,14 @@ impl<'a> Replay<'a> {
         if chunk.is_empty() {
             return;
         }
-        self.prefix.reset_states();
+        self.scratch.reset_states();
         for k in 0..self.cap {
-            self.lane_rows.clear();
-            for l in chunk {
+            for (lane, l) in chunk.iter().enumerate() {
                 let sample = l.pushes - self.cap + k;
-                self.lane_rows.push(self.row(l.trace, sample * self.decimate));
+                self.scratch.load_row(lane, self.row(l.trace, sample * self.decimate));
             }
-            self.prefix.load_rows(&self.lane_rows);
-            self.batched.step_batch(&mut self.prefix, chunk.len());
+            self.batched.step_batch(&mut self.scratch, chunk.len());
         }
-        self.lane_rows.clear();
         for (lane, l) in chunk.iter().enumerate() {
             // Ticks reading `p` pushes: `t` with `ceil(t / decimate) == p`.
             let first = match l.pushes {
@@ -476,10 +466,11 @@ impl<'a> Replay<'a> {
             };
             let last = (l.pushes * self.decimate).min(l.last_tick);
             for t in first..=last {
-                self.lane_rows.push(self.row(l.trace, t));
-                self.live_src.push(lane);
+                let live = REPLAY_LANES + self.live_trace.len();
+                self.scratch.copy_lane(lane, live);
+                self.scratch.load_row(live, self.row(l.trace, t));
                 self.live_trace.push(l.trace);
-                if self.live_src.len() == REPLAY_LANES {
+                if self.live_trace.len() == REPLAY_LANES {
                     self.run_live();
                 }
             }
@@ -489,21 +480,14 @@ impl<'a> Replay<'a> {
 
     /// Runs the pending tick lanes and appends their predictions.
     fn run_live(&mut self) {
-        let n = self.live_src.len();
-        if n == 0 {
-            return;
+        let lanes = REPLAY_LANES..REPLAY_LANES + self.live_trace.len();
+        self.batched.step_range(&mut self.scratch, lanes.clone());
+        self.batched.finish_range(&mut self.scratch, lanes.clone());
+        let mut y = [0.0; ActuatorSignal::DIM];
+        for (lane, &trace) in lanes.zip(&self.live_trace) {
+            self.scratch.read_output(lane, &mut y);
+            self.series[trace].push(ActuatorSignal::from_array(y));
         }
-        self.live.load_states_from(&self.prefix, &self.live_src);
-        self.live.load_rows(&self.lane_rows);
-        self.batched.step_batch(&mut self.live, n);
-        self.batched.finish_batch(&mut self.live, n);
-        let out = &mut self.out[..n * ActuatorSignal::DIM];
-        self.live.read_outputs(out);
-        for (y, &trace) in out.chunks_exact(ActuatorSignal::DIM).zip(&self.live_trace) {
-            self.series[trace].push(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]]));
-        }
-        self.lane_rows.clear();
-        self.live_src.clear();
         self.live_trace.clear();
     }
 }

@@ -4,7 +4,7 @@
 use pidpiper_control::ActuatorSignal;
 use pidpiper_core::features::FeatureSet;
 use pidpiper_missions::configured_jobs;
-use pidpiper_ml::{BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamingRegressor};
+use pidpiper_ml::{LstmRegressor, RegressorConfig, StreamingRegressor};
 
 use crate::session::{SessionParams, SessionSpec};
 use crate::shard::{Admission, AdmissionError, RetiredSession, Shard, ShardTickStats};
@@ -19,9 +19,9 @@ use crate::shard::{Admission, AdmissionError, RetiredSession, Shard, ShardTickSt
 pub enum FleetBatch {
     /// One matrix–vector streaming pass per session (the PR-5 loop).
     PerSession,
-    /// Cache-blocked matrix–matrix kernels over lanes of up to 64
-    /// sessions (`shard::BATCH_WIDTH`) sharing the shard's model (the
-    /// default).
+    /// One lane-row step over up to 64 sessions (`shard::BATCH_WIDTH`)
+    /// sharing the shard's model, each session a row of the step's GEMMs
+    /// (the default).
     #[default]
     Batched,
 }
@@ -132,9 +132,6 @@ pub struct FleetStats {
 pub struct FleetEngine {
     config: FleetConfig,
     model: StreamingRegressor,
-    /// The batched (always f64-exact) form of `model`; `None` under
-    /// [`FleetBatch::PerSession`].
-    batched: Option<BatchedStreamingRegressor>,
     session_cost: u64,
     shards: Vec<Shard>,
     ticks: u64,
@@ -147,10 +144,7 @@ impl FleetEngine {
         let config = config.sanitized();
         let c = model.config();
         let session_cost = 1 + ((c.window - 1) as u64).div_ceil(config.session.decimate.max(1) as u64);
-        let batched = match config.batch {
-            FleetBatch::Batched => Some(BatchedStreamingRegressor::compile(&model)),
-            FleetBatch::PerSession => None,
-        };
+        let batched = config.batch == FleetBatch::Batched;
         let shards = (0..config.shards)
             .map(|i| {
                 Shard::new(
@@ -160,14 +154,13 @@ impl FleetEngine {
                     config.shard_cost_budget,
                     session_cost,
                     &model,
-                    batched.as_ref(),
+                    batched,
                 )
             })
             .collect();
         FleetEngine {
             config,
             model,
-            batched,
             session_cost,
             shards,
             ticks: 0,
@@ -228,7 +221,7 @@ impl FleetEngine {
     /// layer accounts ([`StreamingRegressor::session_state_bytes`]), the
     /// session struct itself (spec, CUSUMs, supervisor, counters), and —
     /// under [`FleetBatch::Batched`] — the shard's batched working set
-    /// (64-lane panels plus staging) amortized over the
+    /// (64 lane rows plus bookkeeping) amortized over the
     /// shard's session capacity, so `bytes_per_session` stays honest
     /// about everything a resident session costs.
     pub fn bytes_per_session(&self) -> usize {
@@ -269,13 +262,12 @@ impl FleetEngine {
     pub fn tick(&mut self) -> ShardTickStats {
         let workers = self.config.workers.min(self.shards.len()).max(1);
         let model = &self.model;
-        let batched = self.batched.as_ref();
         let params = &self.config.session;
         let mut merged = ShardTickStats::default();
         let mut join_failures = 0u64;
         if workers == 1 {
             for shard in &mut self.shards {
-                merged.merge(&shard.tick(model, params, batched));
+                merged.merge(&shard.tick(model, params));
             }
         } else {
             let chunk = self.shards.len().div_ceil(workers);
@@ -288,7 +280,7 @@ impl FleetEngine {
                         scope.spawn(move || {
                             let mut acc = ShardTickStats::default();
                             for shard in chunk {
-                                acc.merge(&shard.tick(model, params, batched));
+                                acc.merge(&shard.tick(model, params));
                             }
                             acc
                         })

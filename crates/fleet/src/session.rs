@@ -583,9 +583,9 @@ impl VehicleSession {
     }
 
     /// Recomputes the prefix checkpoint by replaying the ring
-    /// oldest-to-newest from the zero state. Also the per-session
-    /// fallback for batched replay groups of one.
-    pub(crate) fn replay_prefix(&mut self, engine: &StreamingRegressor, inf: &mut InferenceScratch) {
+    /// oldest-to-newest from the zero state (the per-session path; the
+    /// batched path replays the same rows as lanes).
+    fn replay_prefix(&mut self, engine: &StreamingRegressor, inf: &mut InferenceScratch) {
         let dim = engine.config().input_dim;
         self.prefix.reset();
         for i in 0..self.ring_rows {
@@ -599,14 +599,14 @@ impl VehicleSession {
         }
     }
 
-    /// The prefix checkpoint (batched path: gathered into a lane before
+    /// The prefix checkpoint (batched path: copied into a lane before
     /// the live step).
     pub(crate) fn prefix(&self) -> &StreamState {
         &self.prefix
     }
 
-    /// Mutable prefix checkpoint (batched path: scatter target after a
-    /// batched replay).
+    /// Mutable prefix checkpoint (batched path: copied out of its lane
+    /// after a batched replay).
     pub(crate) fn prefix_mut(&mut self) -> &mut StreamState {
         &mut self.prefix
     }

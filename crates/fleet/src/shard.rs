@@ -17,24 +17,21 @@ use pidpiper_ml::{BatchScratch, BatchedStreamingRegressor, StreamingRegressor};
 use crate::session::{SessionParams, SessionSpec, ShardScratch, TickPrologue, VehicleSession};
 
 /// Lane capacity of the per-shard batched working set: sessions tick
-/// through the batched kernels in chunks of this many lanes. 64 lanes
-/// keep the f64 panels (~140 KB at the standard config) inside L2 while
-/// amortizing each weight load across 8x more sessions than the GEMM
-/// lane width alone.
+/// through the lane-row step in chunks of this many lanes, which
+/// amortizes each weight load across 64 sessions while the chunk's rows
+/// (~140 KB at the standard config) stay inside L2.
 pub(crate) const BATCH_WIDTH: usize = 64;
 
-/// Per-shard working set of the batched tick path: the struct-of-arrays
-/// panels plus staging and bookkeeping buffers, allocated once and reused
-/// every tick. Shard-resident (one per shard, like [`ShardScratch`]), so
-/// its footprint is amortized over the shard's resident sessions — see
+/// Per-shard working set of the batched tick path: one lane-row scratch
+/// plus bookkeeping buffers, allocated once and reused every tick.
+/// Shard-resident (one per shard, like [`ShardScratch`]), so its
+/// footprint is amortized over the shard's resident sessions — see
 /// `FleetEngine::bytes_per_session`.
 #[derive(Debug)]
 pub(crate) struct BatchState {
+    /// Lane states, each session's normalized live row (kept in its lane
+    /// for the ring push after the step) and the dense stack's rows.
     scratch: BatchScratch,
-    /// Live normalized rows staged per lane (`input_dim * BATCH_WIDTH`);
-    /// kept out of the panels so the replay phase can reuse them after
-    /// the ring push.
-    normed: Vec<f64>,
     /// Session indices that completed their prologue this chunk.
     lanes: Vec<usize>,
     /// Their prologues, parallel to `lanes`.
@@ -47,11 +44,9 @@ pub(crate) struct BatchState {
 }
 
 impl BatchState {
-    fn new(batched: &BatchedStreamingRegressor) -> Self {
-        let dim = batched.engine().config().input_dim;
+    fn new(engine: &StreamingRegressor) -> Self {
         BatchState {
-            scratch: batched.scratch(BATCH_WIDTH),
-            normed: vec![0.0; dim * BATCH_WIDTH],
+            scratch: BatchedStreamingRegressor::compile(engine).scratch(BATCH_WIDTH),
             lanes: Vec::with_capacity(BATCH_WIDTH),
             pros: Vec::with_capacity(BATCH_WIDTH),
             errored: Vec::with_capacity(BATCH_WIDTH),
@@ -59,11 +54,10 @@ impl BatchState {
         }
     }
 
-    /// Heap bytes of the whole batched working set (panels + staging +
+    /// Heap bytes of the whole batched working set (scratch +
     /// bookkeeping), for capacity-planning amortization.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.scratch.resident_bytes()
-            + self.normed.capacity() * std::mem::size_of::<f64>()
             + self.lanes.capacity() * std::mem::size_of::<usize>()
             + self.pros.capacity() * std::mem::size_of::<TickPrologue>()
             + self.errored.capacity() * std::mem::size_of::<(usize, MissionError)>()
@@ -199,7 +193,7 @@ impl Shard {
         cost_budget: u64,
         session_cost: u64,
         engine: &StreamingRegressor,
-        batched: Option<&BatchedStreamingRegressor>,
+        batched: bool,
     ) -> Self {
         Shard {
             index,
@@ -211,7 +205,7 @@ impl Shard {
             pending: VecDeque::new(),
             retired: Vec::new(),
             scratch: ShardScratch::for_engine(engine),
-            batch: batched.map(BatchState::new),
+            batch: batched.then(|| BatchState::new(engine)),
         }
     }
 
@@ -256,16 +250,15 @@ impl Shard {
     /// (FIFO), then ticks every resident session in admission order,
     /// retiring budget violators into quarantine.
     ///
-    /// With `batched` supplied (and a batch working set built for it),
-    /// sessions tick through the batched kernels — bit-identical results,
-    /// one matrix–matrix sweep per [`BATCH_WIDTH`] lanes instead of one
-    /// matrix–vector sweep per session. `None` is the per-session (PR-5)
-    /// path, byte for byte the pre-batching loop.
+    /// A shard built batched ticks its sessions through the lane-row
+    /// step — bit-identical results, one `m`-row step per
+    /// [`BATCH_WIDTH`] sessions instead of one single-row step per
+    /// session. Otherwise it runs the per-session (PR-5) path, byte for
+    /// byte the pre-batching loop.
     pub(crate) fn tick(
         &mut self,
         engine: &StreamingRegressor,
         params: &SessionParams,
-        batched: Option<&BatchedStreamingRegressor>,
     ) -> ShardTickStats {
         let mut stats = ShardTickStats::default();
         while self.has_room() {
@@ -277,9 +270,12 @@ impl Shard {
                 None => break,
             }
         }
-        match batched {
-            Some(b) if self.batch.is_some() => self.tick_batched(engine, b, params, &mut stats),
-            _ => self.tick_per_session(engine, params, &mut stats),
+        match self.batch.take() {
+            Some(mut state) => {
+                self.tick_batched(&mut state, engine, params, &mut stats);
+                self.batch = Some(state);
+            }
+            None => self.tick_per_session(engine, params, &mut stats),
         }
         stats
     }
@@ -324,15 +320,15 @@ impl Shard {
     /// so the model-fingerprint grouping the batch key encodes is the
     /// whole shard):
     ///
-    /// 1. **prologue/gather** — each session's budget check, synthetic
-    ///    flight and normalization ([`VehicleSession::begin_tick`]); its
-    ///    prefix checkpoint and live row are gathered into a panel lane.
-    ///    Budget violators are set aside (lane numbering stays stable)
-    ///    and retired after the loop, in the same ascending-index order
-    ///    as the per-session path.
+    /// 1. **prologue/load** — each session's budget check, synthetic
+    ///    flight and normalization ([`VehicleSession::begin_tick`]) into
+    ///    its lane's input row, and its prefix checkpoint copied into the
+    ///    lane's state rows. Budget violators are set aside (lane
+    ///    numbering stays stable) and retired after the loop, in the same
+    ///    ascending-index order as the per-session path.
     /// 2. **batched inference** — one `step_batch` + `finish_batch` over
-    ///    the active lanes replaces the chunk's matrix–vector passes.
-    /// 3. **epilogue/scatter** — each lane's prediction feeds
+    ///    the chunk's lanes.
+    /// 3. **epilogue** — each lane's prediction feeds
     ///    [`VehicleSession::finish_tick`] (monitor, supervisor,
     ///    fingerprint, decimated ring push) with the prefix replay
     ///    *deferred*.
@@ -340,21 +336,21 @@ impl Shard {
     /// Deferred replays are then grouped by ring row count (lanes in one
     /// replay batch must step the same number of rows — sessions
     /// mid-warmup or on a different decimation phase simply land in
-    /// different groups or different ticks) and replayed through the
-    /// batched kernels; groups of one fall back to the per-session
-    /// [`VehicleSession::replay_prefix`]. Every f64 op matches the
-    /// per-session path, so fingerprints are bit-identical — the fleet
-    /// bench gates this (`batch_invariant`).
+    /// different groups or different ticks), replayed a group chunk at a
+    /// time from the zero state and copied back into each session's
+    /// prefix. A group of one is a one-lane step. Every f64 op matches
+    /// the per-session path, so fingerprints are bit-identical — the
+    /// fleet bench gates this (`batch_invariant`).
     fn tick_batched(
         &mut self,
+        state: &mut BatchState,
         engine: &StreamingRegressor,
-        batched: &BatchedStreamingRegressor,
         params: &SessionParams,
         stats: &mut ShardTickStats,
     ) {
-        let state = self.batch.as_mut().expect("tick_batched without batch state");
+        let batched = BatchedStreamingRegressor::compile(engine);
         let sessions = &mut self.sessions;
-        let shard_scratch = &mut self.scratch;
+        let feat = &mut self.scratch.feat;
         let dim = engine.config().input_dim;
         state.errored.clear();
         state.replay.clear();
@@ -368,12 +364,11 @@ impl Shard {
             for (off, session) in sessions[start..end].iter_mut().enumerate() {
                 let i = start + off;
                 let lane = state.lanes.len();
-                let row = &mut state.normed[lane * dim..(lane + 1) * dim];
-                match session.begin_tick(engine, params, &mut shard_scratch.feat, row) {
+                let row = state.scratch.row_mut(lane);
+                match session.begin_tick(engine, params, feat, row) {
                     Ok(pro) => {
                         if pro.normed_ok {
                             state.scratch.load_state(lane, session.prefix());
-                            state.scratch.load_row(lane, row);
                         }
                         state.lanes.push(i);
                         state.pros.push(pro);
@@ -382,10 +377,8 @@ impl Shard {
                 }
             }
             let n = state.lanes.len();
-            if n > 0 {
-                batched.step_batch(&mut state.scratch, n);
-                batched.finish_batch(&mut state.scratch, n);
-            }
+            batched.step_batch(&mut state.scratch, n);
+            batched.finish_batch(&mut state.scratch, n);
             let mut pred = [0.0f64; 4];
             for (lane, (&i, pro)) in state.lanes.iter().zip(&state.pros).enumerate() {
                 let prediction = if pro.normed_ok {
@@ -394,7 +387,7 @@ impl Shard {
                 } else {
                     sessions[i].last_prediction()
                 };
-                let row = &state.normed[lane * dim..(lane + 1) * dim];
+                let row = state.scratch.row(lane);
                 let (r, deferred) =
                     sessions[i].finish_tick(engine, params, prediction, pro, row, None);
                 stats.session_ticks += 1;
@@ -427,26 +420,16 @@ impl Shard {
             {
                 group_end += 1;
             }
-            if group_end - g == 1 {
-                // Ragged remainder: the per-session fallback.
-                sessions[state.replay[g]].replay_prefix(engine, &mut shard_scratch.scratch);
-            } else {
-                let mut cs = g;
-                while cs < group_end {
-                    let ce = (cs + BATCH_WIDTH).min(group_end);
-                    let lanes = &state.replay[cs..ce];
-                    let n = lanes.len();
-                    state.scratch.reset_states();
-                    for t in 0..rows {
-                        for (lane, &i) in lanes.iter().enumerate() {
-                            state.scratch.load_row(lane, sessions[i].ring_row(t, dim));
-                        }
-                        batched.step_batch(&mut state.scratch, n);
-                    }
+            for lanes in state.replay[g..group_end].chunks(BATCH_WIDTH) {
+                state.scratch.reset_states();
+                for t in 0..rows {
                     for (lane, &i) in lanes.iter().enumerate() {
-                        state.scratch.store_state(lane, sessions[i].prefix_mut());
+                        state.scratch.load_row(lane, sessions[i].ring_row(t, dim));
                     }
-                    cs = ce;
+                    batched.step_batch(&mut state.scratch, lanes.len());
+                }
+                for (lane, &i) in lanes.iter().enumerate() {
+                    state.scratch.store_state(lane, sessions[i].prefix_mut());
                 }
             }
             g = group_end;

@@ -13,9 +13,9 @@
 //!
 //! # One definition, every path
 //!
-//! The fleet's determinism and batching gates require the streaming
-//! scalar path, the batched panel path, and the training-time forward
-//! pass to produce `to_bits`-identical results. That holds here for the
+//! The fleet's determinism and batching gates require the single-lane
+//! streaming step, the lane-row batched step, and the training-time
+//! forward pass to produce `to_bits`-identical results. That holds here for the
 //! same reason the GEMM kernels are exact (see [`crate::gemm`]): these
 //! functions perform a fixed per-element sequence of individually
 //! rounded IEEE operations, and vectorizing that sequence changes which
@@ -33,8 +33,7 @@
 //! `len % LANES` elements as one more chunk padded with zeros, so a
 //! 7-element slice is one vector, not seven scalar evaluations. A panel
 //! whose rows are only partly active (a training group of 7 lanes in a
-//! panel 140 wide, a fleet chunk of 52 lanes in one 64 wide) goes
-//! through [`apply_rows`], which gathers the rows' active lanes into one
+//! panel 140 wide) goes through [`apply_rows`], which gathers the rows' active lanes into one
 //! contiguous stack block per kernel call and scatters the results back.
 //! Neither changes an element's operations.
 //!

@@ -1,23 +1,19 @@
 //! Cache-blocked matrix–matrix micro-kernels for FFC inference and
 //! training.
 //!
-//! The streaming inference path (`pidpiper-ml`) computes one matrix–vector
-//! product per session per layer. At fleet scale thousands of sessions
-//! share the same weights, so the batched path gathers their input vectors
-//! into a column-major *panel* (`x[j * x_stride + lane]`: feature `j` of
-//! lane/session `lane`) and computes all columns in one sweep over the
-//! weight rows. Each weight element is then loaded once per [`LANES`]
-//! sessions instead of once per session, which is where the batched
-//! speedup comes from.
+//! Inference (`pidpiper-ml`'s streaming engine) stores its weights
+//! k-major, so `x` is the weight block, with the layer's output units as
+//! the columns, and `a` holds the lanes as rows: one row for a single
+//! session, `m` rows when `m` sessions or windows sharing the weights
+//! step together. The columns vectorise across output units, and each
+//! weight element is loaded once per step for all `m` rows.
 //!
-//! The single-session streaming path uses the same kernels the other way
-//! round: its weights are stored k-major, so `a` is the one input vector
-//! (`m = 1`) and the "panel" is the weight block, with the layer's output
-//! units as the columns. The lanes then vectorise across output units.
-//!
-//! Training (`LstmRegressor::train`) runs the samples of one optimizer
-//! step as the lanes, and accumulates its weight gradients with the
-//! seeded flavour below.
+//! Training (`LstmRegressor::train`) runs the other orientation: the
+//! weights row-major as `a`, and the samples of one optimizer step as the
+//! lanes, the columns of a *panel* (`x[j * x_stride + lane]`: feature `j`
+//! of lane `lane`), so each weight element is loaded once per [`LANES`]
+//! samples. It accumulates its weight gradients with the seeded flavour
+//! below.
 //!
 //! # Bit-identity contract
 //!
@@ -39,8 +35,8 @@
 //! single chain caps the whole kernel at one vector-add per ~4 cycles).
 //! Remainder rows (`m % ROW_BLOCK`) run one chain. The remainder columns
 //! (`n % LANES`) run as one masked tile of the same `LANES`-wide shape,
-//! so a ragged width (a 7-sample training group, a 52-lane fleet chunk,
-//! the FFC's 4-wide head) runs the vector code of a full one. Each real
+//! so a ragged width (a 7-sample training group, the FFC's 4-wide head)
+//! runs the vector code of a full one. Each real
 //! lane of the masked tile keeps its own ascending-`j` chain; its lanes
 //! past `n` compute on whatever the panel holds in those columns (zeros
 //! past the panel's end) and are never stored. Lanes never mix, so

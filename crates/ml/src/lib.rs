@@ -22,15 +22,15 @@
 //!   backpropagation through time over `pidpiper_math::gemm` (the private
 //!   `train` module), bit-identical to training one sample at a time;
 //! - [`stream::StreamingRegressor`] — the compiled, zero-allocation
-//!   streaming form of the network (fused k-major LSTM gate blocks run as
-//!   single-row `pidpiper_math::gemm` products, caller-owned
-//!   [`stream::InferenceScratch`]), bit-identical to the reference
-//!   `predict` path;
-//! - [`batch::BatchedStreamingRegressor`] — the batched fleet form:
-//!   struct-of-arrays panels over up to `width` sessions sharing one
-//!   model, cache-blocked matrix–matrix gate products
-//!   (`pidpiper_math::gemm`), bit-identical per lane to the streaming
-//!   path;
+//!   streaming form of the network (fused k-major LSTM gate blocks,
+//!   caller-owned [`stream::InferenceScratch`]), bit-identical to the
+//!   reference `predict` path. One step runs any number of lanes as the
+//!   rows of `pidpiper_math::gemm` products over those blocks: one lane
+//!   for a single [`stream::StreamState`], several for a
+//!   [`stream::StateBank`];
+//! - [`batch::BatchedStreamingRegressor`] — the same lane-row step for
+//!   batches that give every lane its own input row (fleet sessions,
+//!   calibration windows), over a caller-owned [`batch::BatchScratch`];
 //! - [`normalize::Normalizer`] — per-feature standardization;
 //! - [`dataset::WindowedDataset`] — sliding-window sample extraction from
 //!   mission time series;

@@ -420,8 +420,9 @@ impl LstmRegressor {
     ///
     /// Everything is checked before the network is built: every
     /// dimension in `1..=`[`RegressorConfig::MAX_TEXT_DIM`], the
-    /// normalizer lines' lengths against the dimensions, and every
-    /// standard deviation finite and positive.
+    /// normalizer lines' lengths against the dimensions, every mean and
+    /// parameter value finite, and every standard deviation finite and
+    /// positive.
     ///
     /// # Errors
     ///
@@ -473,6 +474,9 @@ impl LstmRegressor {
                     means.len()
                 ));
             }
+            if let Some((j, v)) = non_finite(means) {
+                return Err(format!("{what} mean {j} is {v}"));
+            }
         }
         let normalizer =
             Normalizer::from_stats(in_mean, in_std).map_err(|e| format!("input stats: {e}"))?;
@@ -491,10 +495,18 @@ impl LstmRegressor {
                     vals.len()
                 ));
             }
+            if let Some((j, v)) = non_finite(&vals) {
+                return Err(format!("parameter {i} value {j} is {v}"));
+            }
             model.params_mut()[i].value = vals;
         }
         Ok(model)
     }
+}
+
+/// The first non-finite value of `xs` and its index.
+fn non_finite(xs: &[f64]) -> Option<(usize, f64)> {
+    xs.iter().copied().enumerate().find(|(_, v)| !v.is_finite())
 }
 
 #[cfg(test)]
@@ -569,6 +581,20 @@ mod tests {
         rejected(3, "1e0 -2e0 1e0", "std 1 is -2");
         rejected(5, "NaN 1e0", "std 0 is NaN");
         rejected(5, "1e0 inf", "std 1 is inf");
+    }
+
+    #[test]
+    fn from_text_rejects_a_non_finite_mean() {
+        rejected(4, "0e0 inf", "target mean 1 is inf");
+    }
+
+    #[test]
+    fn from_text_rejects_a_non_finite_weight() {
+        // Line 6 is parameter 0, the first LSTM layer's input weights.
+        let text = LstmRegressor::new(RegressorConfig::tiny(3, 2), 5).to_text();
+        let line = text.lines().nth(6).expect("parameter line");
+        let rest: Vec<&str> = line.split_whitespace().skip(1).collect();
+        rejected(6, &format!("NaN {}", rest.join(" ")), "parameter 0 value 0 is NaN");
     }
 
     fn toy_dataset(n: usize, window: usize) -> WindowedDataset {

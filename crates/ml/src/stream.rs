@@ -17,8 +17,11 @@
 //!   callers can checkpoint a partially-consumed window;
 //! - [`StateBank`] — the same states for several lanes at once, stored as
 //!   contiguous `[lanes x hidden]` rows and stepped together by
-//!   [`StreamingRegressor::step_lanes`] (the FFC keeps one lane per
-//!   partial window, so a new sample advances every window in one step);
+//!   [`StreamingRegressor::step_lanes`] (every lane reads one shared row:
+//!   the FFC keeps one lane per partial window, so a new sample advances
+//!   every window in one step) or [`StreamingRegressor::step_lane_rows`]
+//!   (each lane reads its own row: the fleet's sessions and the
+//!   calibration replay's windows, through [`crate::batch`]);
 //! - [`StreamingRegressor::predict_into`] — a whole-window entry point
 //!   that is **bit-identical** to [`LstmRegressor::predict`] and performs
 //!   zero heap allocation after the scratch has been built.
@@ -28,9 +31,10 @@
 //! single [`StreamState`], `m = lanes` for a [`StateBank`]) and the gate
 //! units as columns, so the products vectorise across the output units
 //! instead of running one scalar reduction per unit. A single state is
-//! the one-lane case of the same step. The gate activations and the
-//! cell's `tanh` then run through the ISA-dispatched slice kernels of
-//! `pidpiper_math::activations`.
+//! the one-lane case of the same step, and the dense stack runs the same
+//! way over `m` lane rows (one row for [`StreamingRegressor::finish_into`]).
+//! The gate activations and the cell's `tanh` then run through the
+//! ISA-dispatched slice kernels of `pidpiper_math::activations`.
 //!
 //! Bit-identity is load-bearing. Every output unit still owns one
 //! accumulator summed in ascending `k`: the gate pre-activations are
@@ -48,9 +52,8 @@
 //! scalar activations. Tests in this module and `crates/ml/tests` compare
 //! outputs with `f64::to_bits`, not an epsilon.
 //!
-//! Only the k-major blocks live here. The batched fleet engine reads its
-//! weights row-major and builds those copies itself when it compiles
-//! (`BatchedStreamingRegressor::compile`).
+//! Every weight is stored once, in these k-major blocks; the batched
+//! form ([`crate::batch::BatchedStreamingRegressor`]) borrows them.
 
 use crate::dense::{Activation, Dense};
 use crate::lstm::LstmLayer;
@@ -80,13 +83,17 @@ pub(crate) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f
     }
 }
 
-/// `out = bias + x^T · cols` over one k-major block: `bias` preloaded,
-/// then one ascending-`k` accumulator per output unit added in a single
-/// rounding step (`Param::matvec_into`'s order).
-fn affine_into(x: &[f64], cols: &[f64], bias: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    out.copy_from_slice(bias);
-    gemm_acc(x, x.len(), 1, x.len(), cols, n, out, n, n);
+/// `out = bias + x · cols` for the `m` rows of `x` (`[m x k]`) over one
+/// k-major `[k x n]` block: every output row preloaded with `bias`, then
+/// one ascending-`k` accumulator per element added in a single rounding
+/// step (`Param::matvec_into`'s order). Each row is its own chain, so a
+/// row's bits do not depend on `m`.
+fn affine_rows(x: &[f64], k: usize, cols: &[f64], bias: &[f64], out: &mut [f64], m: usize) {
+    let n = bias.len();
+    for row in out[..m * n].chunks_exact_mut(n) {
+        row.copy_from_slice(bias);
+    }
+    gemm_acc(x, k, m, k, cols, n, out, n, n);
 }
 
 /// Typed error for malformed inference inputs.
@@ -186,12 +193,6 @@ impl FusedLstm {
         }
     }
 
-    /// The fused block row-major, `[4*hidden x (input+hidden)]`: row `r`
-    /// is `[w_row(r) | u_row(r)]`, the layout the batched GEMM reads.
-    pub(crate) fn rows(&self) -> Vec<f64> {
-        transpose(&self.cols, self.input + self.hidden, 4 * self.hidden)
-    }
-
     /// One cell update of `m` lanes, in place. `h` and `c` are
     /// `[m x hidden]` lane rows and `pre` must hold at least
     /// `m * 4*hidden` slots (the gate panel, one row per lane). The
@@ -212,17 +213,14 @@ impl FusedLstm {
             LayerInput::Shared(x) => {
                 debug_assert_eq!(x.len(), self.input);
                 let (first, rest) = pre.split_at_mut(g);
-                affine_into(x, w_cols, &self.bias, first);
+                affine_rows(x, self.input, w_cols, &self.bias, first, 1);
                 for row in rest.chunks_exact_mut(g) {
                     row.copy_from_slice(first);
                 }
             }
             LayerInput::Lanes(x) => {
                 debug_assert_eq!(x.len(), m * self.input);
-                for row in pre.chunks_exact_mut(g) {
-                    row.copy_from_slice(&self.bias);
-                }
-                gemm_acc(x, self.input, m, self.input, w_cols, g, pre, g, g);
+                affine_rows(x, self.input, w_cols, &self.bias, pre, m);
             }
         }
         gemm_acc(h, hd, m, hd, u_cols, g, pre, g, g);
@@ -232,9 +230,9 @@ impl FusedLstm {
             fast_sigmoid_slice(sig);
             fast_tanh_slice(cand);
         }
-        // Cell update staged as in the batched panel step, so `tanh(c)`
-        // also runs through the slice kernel: `h = o * tanh(f*c + i*g)`
-        // per element, the reference's op sequence.
+        // Cell update staged so `tanh(c)` also runs through the slice
+        // kernel: `h = o * tanh(f*c + i*g)` per element, the reference's
+        // op sequence.
         for ((row, c), h) in pre
             .chunks_exact(g)
             .zip(c.chunks_exact_mut(hd))
@@ -262,15 +260,16 @@ impl FusedLstm {
 /// The input of one [`FusedLstm::step`].
 #[derive(Clone, Copy)]
 enum LayerInput<'a> {
-    /// One row that every lane steps (layer 1 of a bank step).
+    /// One row that every lane steps (layer 1 of a shared-row step).
     Shared(&'a [f64]),
-    /// `[m x input]` rows, one per lane (layer 2 reads layer 1's `h`).
+    /// `[m x input]` rows, one per lane (layer 1 of a lane-row step;
+    /// layer 2 always reads layer 1's `h`).
     Lanes(&'a [f64]),
 }
 
-/// One dense layer compiled for single-lane inference: the weights
-/// k-major (`[input x output]`, the transpose of `Dense::w`), so the
-/// affine map is one `gemm_acc` row product.
+/// One compiled dense layer: the weights k-major (`[input x output]`, the
+/// transpose of `Dense::w`), so the affine map of `m` lane rows is one
+/// `gemm_acc` product.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledDense {
     pub(crate) input: usize,
@@ -297,24 +296,21 @@ impl CompiledDense {
         }
     }
 
-    /// The weights row-major, `[output x input]` (the `Dense::w` layout
-    /// the batched GEMM reads).
-    pub(crate) fn rows(&self) -> Vec<f64> {
-        transpose(&self.cols, self.input, self.output)
-    }
-
-    /// Bit-identical to `Dense::infer`, into `out`. `x` and `out` must
-    /// be disjoint.
-    fn infer_into(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.input);
-        affine_into(x, &self.cols, &self.bias, out);
+    /// `Dense::infer` of each of the `m` lane rows of `x` (`[m x input]`)
+    /// into the matching row of `out` (`[m x output]`), bit-identical per
+    /// row. Reads and writes only the first `m` rows.
+    fn infer_rows(&self, x: &[f64], out: &mut [f64], m: usize) {
+        affine_rows(&x[..m * self.input], self.input, &self.cols, &self.bias, out, m);
+        let out = &mut out[..m * self.output];
         match self.activation {
             Activation::Linear => {}
             Activation::Sigmoid => fast_sigmoid_slice(out),
             Activation::PRelu => {
-                for (z, a) in out.iter_mut().zip(&self.alpha) {
-                    let v = *z;
-                    *z = if v > 0.0 { v } else { a * v };
+                for row in out.chunks_exact_mut(self.output) {
+                    for (z, a) in row.iter_mut().zip(&self.alpha) {
+                        let v = *z;
+                        *z = if v > 0.0 { v } else { a * v };
+                    }
                 }
             }
         }
@@ -384,8 +380,8 @@ impl StreamState {
 /// [`StreamingRegressor::bank`]; nothing allocates after that.
 #[derive(Debug, Clone)]
 pub struct StateBank {
-    hidden: usize,
-    lanes: usize,
+    pub(crate) hidden: usize,
+    pub(crate) lanes: usize,
     /// `[h1 | c1 | h2 | c2 | pre]`: four `[lanes x hidden]` state blocks,
     /// then the gate panel, one `4*hidden` row per lane.
     buf: Vec<f64>,
@@ -414,6 +410,29 @@ impl StateBank {
     /// `h1, c1, h2, c2`).
     fn at(&self, block: usize, lane: usize) -> usize {
         (block * self.lanes + lane) * self.hidden
+    }
+
+    /// Heap bytes held by this bank (states and gate panel).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.buf.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Rows `lanes` of state block `block` (0..4 for `h1, c1, h2, c2`),
+    /// contiguous.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the bank.
+    pub(crate) fn rows(&self, block: usize, lanes: Range<usize>) -> &[f64] {
+        assert!(lanes.end <= self.lanes, "lanes {lanes:?} of {}", self.lanes);
+        &self.buf[self.at(block, lanes.start)..self.at(block, lanes.end)]
+    }
+
+    /// [`StateBank::rows`], mutable.
+    pub(crate) fn rows_mut(&mut self, block: usize, lanes: Range<usize>) -> &mut [f64] {
+        assert!(lanes.end <= self.lanes, "lanes {lanes:?} of {}", self.lanes);
+        let at = self.at(block, lanes.start)..self.at(block, lanes.end);
+        &mut self.buf[at]
     }
 
     /// Resets every lane to the zero state.
@@ -656,11 +675,48 @@ impl StreamingRegressor {
         bank: &mut StateBank,
         lanes: Range<usize>,
     ) -> Result<(), PredictError> {
-        if x_normed.len() != self.config.input_dim {
+        self.check_step(x_normed.len(), 1, bank, &lanes)?;
+        self.step_bank(LayerInput::Shared(x_normed), bank, lanes);
+        Ok(())
+    }
+
+    /// Advances lanes `lanes` of `bank` by one *already-normalized* row
+    /// each, as one `m`-row step: `rows` is `[m x input_dim]`, row `i`
+    /// for lane `lanes.start + i`. Each lane ends with the bits
+    /// [`StreamingRegressor::step_normed`] would give a [`StreamState`]
+    /// holding that lane fed its row; lanes outside the range are
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::FeatureDim`] if `rows` is not `m` rows
+    /// long and [`PredictError::LaneRange`] if the range runs past the
+    /// bank.
+    pub fn step_lane_rows(
+        &self,
+        rows: &[f64],
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+    ) -> Result<(), PredictError> {
+        self.check_step(rows.len(), lanes.len(), bank, &lanes)?;
+        self.step_bank(LayerInput::Lanes(rows), bank, lanes);
+        Ok(())
+    }
+
+    /// Checks a lane step's input length (`per` rows of `input_dim`) and
+    /// its lane range.
+    fn check_step(
+        &self,
+        got: usize,
+        per: usize,
+        bank: &StateBank,
+        lanes: &Range<usize>,
+    ) -> Result<(), PredictError> {
+        if got != per * self.config.input_dim {
             return Err(PredictError::FeatureDim {
                 step: 0,
-                got: x_normed.len(),
-                expected: self.config.input_dim,
+                got,
+                expected: per * self.config.input_dim,
             });
         }
         if lanes.end > bank.lanes || bank.hidden != self.config.hidden {
@@ -669,18 +725,23 @@ impl StreamingRegressor {
                 lanes: bank.lanes,
             });
         }
+        Ok(())
+    }
+
+    /// One `m`-row double step of lanes `lanes` of `bank` (checked by the
+    /// caller): layer 1 consumes `x`, layer 2 the *updated* `h1`.
+    fn step_bank(&self, x: LayerInput<'_>, bank: &mut StateBank, lanes: Range<usize>) {
         let m = lanes.len();
         if m == 0 {
-            return Ok(());
+            return;
         }
         let hd = self.config.hidden;
         let at = lanes.start * hd..lanes.end * hd;
         let [h1, c1, h2, c2, pre] = bank.blocks();
         let (h1, c1) = (&mut h1[at.clone()], &mut c1[at.clone()]);
-        self.lstm1.step(LayerInput::Shared(x_normed), h1, c1, pre, m);
+        self.lstm1.step(x, h1, c1, pre, m);
         self.lstm2
             .step(LayerInput::Lanes(h1), &mut h2[at.clone()], &mut c2[at], pre, m);
-        Ok(())
     }
 
     /// [`StreamingRegressor::finish_into`] from lane `lane` of `bank`.
@@ -702,8 +763,7 @@ impl StreamingRegressor {
                 lanes: bank.lanes,
             });
         }
-        let at = bank.at(2, lane);
-        self.finish_checked(&bank.buf[at..at + bank.hidden], scratch, out)
+        self.finish_checked(bank.rows(2, lane..lane + 1), scratch, out)
     }
 
     /// Runs the dense stack from `state` and writes the de-normalized
@@ -738,7 +798,7 @@ impl StreamingRegressor {
         let InferenceScratch {
             fc_a, fc_b, z, ..
         } = scratch;
-        self.finish_raw(h2, fc_a, fc_b, z, out);
+        self.finish_rows(h2, fc_a, fc_b, z, out, 1);
         Ok(())
     }
 
@@ -792,7 +852,7 @@ impl StreamingRegressor {
             self.normalizer.transform_into(row, normed);
             self.step_raw(normed, state, pre);
         }
-        self.finish_raw(&state.h2, fc_a, fc_b, z, out);
+        self.finish_rows(&state.h2, fc_a, fc_b, z, out, 1);
         Ok(())
     }
 
@@ -806,21 +866,28 @@ impl StreamingRegressor {
         self.lstm2.step(LayerInput::Lanes(h1), h2, c2, pre, 1);
     }
 
-    /// Dense stack + de-normalization, ping-ponging between the two fc
-    /// buffers so no layer reads and writes the same slice.
-    fn finish_raw(
+    /// Dense stack + de-normalization of `m` lane rows: `h2` is
+    /// `[m x hidden]`, `fc_a`/`fc_b` hold at least `m` rows of
+    /// `fc_width`, `z` and `out` at least `m` rows of `output_dim`.
+    /// Ping-pongs between the two fc buffers so no layer reads and writes
+    /// the same slice; writes only the first `m` rows of each buffer.
+    pub(crate) fn finish_rows(
         &self,
         h2: &[f64],
         fc_a: &mut [f64],
         fc_b: &mut [f64],
         z: &mut [f64],
         out: &mut [f64],
+        m: usize,
     ) {
-        self.fc_sigmoid.infer_into(h2, fc_a);
-        self.fc_prelu1.infer_into(fc_a, fc_b);
-        self.fc_prelu2.infer_into(fc_b, fc_a);
-        self.head.infer_into(fc_a, z);
-        self.target_normalizer.inverse_into(z, out);
+        self.fc_sigmoid.infer_rows(h2, fc_a, m);
+        self.fc_prelu1.infer_rows(fc_a, fc_b, m);
+        self.fc_prelu2.infer_rows(fc_b, fc_a, m);
+        self.head.infer_rows(fc_a, z, m);
+        let od = self.config.output_dim;
+        for (z, out) in z.chunks_exact(od).zip(out.chunks_exact_mut(od)).take(m) {
+            self.target_normalizer.inverse_into(z, out);
+        }
     }
 }
 
@@ -1006,6 +1073,10 @@ mod tests {
         assert_eq!(
             engine.step_lanes(&normed, &mut bank, 3..6),
             Err(PredictError::LaneRange { end: 6, lanes: 5 })
+        );
+        assert_eq!(
+            engine.step_lane_rows(&[0.0; 3], &mut bank, 0..2),
+            Err(PredictError::FeatureDim { step: 0, got: 3, expected: 4 })
         );
         assert_eq!(
             engine.finish_lane_into(&bank, 5, &mut scratch, &mut a),

@@ -1,9 +1,10 @@
-//! Property-based bit-identity for the batched inference path: every
+//! Property-based bit-identity for the batched lane-row path: every
 //! lane of [`BatchedStreamingRegressor`] must reproduce the streaming
 //! engine *exactly* — compared with `f64::to_bits`, not an epsilon —
-//! across batch sizes (including non-multiples of the GEMM lane width
-//! and widths past 256), ragged/masked lanes, decimation-style phase
-//! skew with per-tick state gather/scatter, and NaN-burst inputs.
+//! across batch sizes (including non-multiples of the GEMM row block and
+//! widths past 256), ragged lane counts, lane ranges that start mid-bank,
+//! decimation-style phase skew with per-tick state copies in and out,
+//! and NaN-burst inputs.
 
 use pidpiper_ml::{
     BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState, WindowedDataset,
@@ -30,32 +31,39 @@ fn fitted_model(config: RegressorConfig, seed: u64) -> LstmRegressor {
     model
 }
 
-/// Asserts every lane of a whole-window batched prediction is
-/// bit-identical to the per-window streaming path.
+/// Asserts every lane of a whole-window batched prediction (each window
+/// normalized row by row into its lane, all lanes stepped together from
+/// zero states) is bit-identical to the per-window streaming path.
 fn assert_batch_matches_streaming(model: &LstmRegressor, windows: &[Vec<Vec<f64>>]) {
     let engine = model.compile();
     let batched = BatchedStreamingRegressor::compile(&engine);
-    let out_dim = engine.config().output_dim;
+    let c = *engine.config();
+    let n = windows.len();
 
-    let mut scratch = batched.scratch(windows.len());
-    let mut out = vec![0.0; windows.len() * out_dim];
-    batched
-        .predict_windows_into(windows, &mut scratch, &mut out)
-        .expect("valid windows");
+    let mut scratch = batched.scratch(n);
+    let mut normed = vec![0.0; c.input_dim];
+    for t in 0..c.window {
+        for (lane, window) in windows.iter().enumerate() {
+            engine.normalize_into(&window[t], &mut normed).expect("valid row");
+            scratch.load_row(lane, &normed);
+        }
+        batched.step_batch(&mut scratch, n);
+    }
+    batched.finish_batch(&mut scratch, n);
 
     let mut inf = engine.scratch();
-    let mut reference = vec![0.0; out_dim];
+    let mut reference = vec![0.0; c.output_dim];
+    let mut out = vec![0.0; c.output_dim];
     for (lane, window) in windows.iter().enumerate() {
         engine
             .predict_into(window, &mut inf, &mut reference)
             .expect("valid window");
-        for (r, want) in reference.iter().enumerate() {
-            let got = out[lane * out_dim + r];
+        scratch.read_output(lane, &mut out);
+        for (r, (got, want)) in out.iter().zip(&reference).enumerate() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "lane {lane} output {r}: batched {got} != streaming {want} (batch size {})",
-                windows.len(),
+                "lane {lane} output {r}: batched {got} != streaming {want} (batch size {n})",
             );
         }
     }
@@ -76,8 +84,8 @@ proptest! {
         let config = RegressorConfig { input_dim, output_dim, hidden, fc_width, window };
         let model = fitted_model(config, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbacc);
-        // 1, 2, and a deliberate non-multiple of the 8-wide GEMM lane
-        // blocks, so the scalar remainder columns are always exercised.
+        // 1, 2, and a deliberate non-multiple of the GEMM's 4-row block,
+        // so the single-chain remainder rows are always exercised.
         for batch in [1usize, 2, 13] {
             let windows: Vec<_> = (0..batch)
                 .map(|_| random_rows(&mut rng, window, input_dim, 20.0))
@@ -121,7 +129,7 @@ fn batched_windows_bit_identical_at_lane_boundaries_and_257() {
     };
     let model = fitted_model(config, 42);
     let mut rng = StdRng::seed_from_u64(0x257);
-    // Straddle the 8-wide GEMM column blocks and go well past 256 lanes.
+    // Straddle the GEMM's 4-row blocks and go well past 256 lanes.
     for batch in [7usize, 8, 9, 64, 257] {
         let windows: Vec<_> = (0..batch)
             .map(|_| random_rows(&mut rng, 5, 4, 20.0))
@@ -157,7 +165,7 @@ fn masked_lanes_stay_untouched_in_a_ragged_batch() {
         scratch.load_state(lane, state);
     }
 
-    // Advance only the first 5 lanes; lanes 5..8 are masked capacity.
+    // Advance only the first 5 lanes; lanes 5..8 are unused capacity.
     let active = 5;
     for (lane, state) in states.iter().enumerate().take(active) {
         // Re-load so the row panel is fresh for the active lanes.
@@ -177,7 +185,7 @@ fn masked_lanes_stay_untouched_in_a_ragged_batch() {
         let identical = roundtrip == *state;
         assert_eq!(
             identical, !advanced,
-            "lane {lane}: masked lanes must keep their loaded state bits, \
+            "lane {lane}: lanes past the range must keep their loaded state bits, \
              active lanes must advance",
         );
         if advanced {
@@ -192,8 +200,8 @@ fn masked_lanes_stay_untouched_in_a_ragged_batch() {
 }
 
 /// Mirrors the fleet shard loop: long-lived sessions at skewed phases,
-/// re-gathered into (possibly different) lanes every tick, stepped as a
-/// ragged batch, scattered back, and compared against a per-session
+/// copied into (possibly different) lanes every tick, stepped as a
+/// ragged batch, copied back out, and compared against a per-session
 /// streaming twin — bit-for-bit, every tick.
 #[test]
 fn phase_skewed_sessions_survive_gather_scatter_every_tick() {
@@ -256,6 +264,65 @@ fn phase_skewed_sessions_survive_gather_scatter_every_tick() {
                     b.to_bits(),
                     "tick {t} session {i}: output diverged",
                 );
+            }
+        }
+    }
+}
+
+/// Lanes `start..start + m` of a warmed 16-lane scratch, `start > 0`,
+/// stepped and finished as one `m`-row range: each lane must end with the
+/// state and output `step_normed` + `finish_into` give its own state and
+/// row, and every lane outside the range must keep its bits — for every
+/// `m` in 1..=9.
+#[test]
+fn mid_bank_lane_ranges_step_like_single_states() {
+    let config = RegressorConfig {
+        input_dim: 4,
+        output_dim: 3,
+        hidden: 6,
+        fc_width: 6,
+        window: 5,
+    };
+    let model = fitted_model(config, 5);
+    let engine = model.compile();
+    let batched = BatchedStreamingRegressor::compile(&engine);
+    let mut rng = StdRng::seed_from_u64(0x31d);
+    let mut inf = engine.scratch();
+    let mut normed = vec![0.0; 4];
+    const WIDTH: usize = 16;
+
+    for m in 1..=9usize {
+        let start = 1 + m % 7;
+        let mut scratch = batched.scratch(WIDTH);
+        let mut states: Vec<StreamState> = (0..WIDTH).map(|_| engine.state()).collect();
+        for (lane, state) in states.iter_mut().enumerate() {
+            for row in random_rows(&mut rng, 1 + lane % 3, 4, 20.0) {
+                engine.normalize_into(&row, &mut normed).unwrap();
+                engine.step_normed(&normed, state, &mut inf).unwrap();
+            }
+            scratch.load_state(lane, state);
+        }
+        for tick in 0..3 {
+            for (lane, row) in (start..start + m).zip(random_rows(&mut rng, m, 4, 20.0)) {
+                engine.normalize_into(&row, &mut normed).unwrap();
+                scratch.load_row(lane, &normed);
+                engine.step_normed(&normed, &mut states[lane], &mut inf).unwrap();
+            }
+            batched.step_range(&mut scratch, start..start + m);
+            batched.finish_range(&mut scratch, start..start + m);
+
+            let mut got = engine.state();
+            let (mut out, mut want) = (vec![0.0; 3], vec![0.0; 3]);
+            for (lane, state) in states.iter().enumerate() {
+                scratch.store_state(lane, &mut got);
+                assert_eq!(&got, state, "m {m}, tick {tick}, lane {lane}: state");
+                if (start..start + m).contains(&lane) {
+                    scratch.read_output(lane, &mut out);
+                    engine.finish_into(state, &mut inf, &mut want).unwrap();
+                    for (a, b) in out.iter().zip(&want) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "m {m}, tick {tick}, lane {lane}");
+                    }
+                }
             }
         }
     }
