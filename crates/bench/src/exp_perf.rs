@@ -26,11 +26,17 @@
 //! stack ([`BatchedStreamingRegressor`]), with each session's state
 //! copied into its lane and back out as the shards do, timed as ns per
 //! *vehicle*-tick at batch sizes 1/7/16/52/64/256 against the
-//! per-session streaming loop over the same states and rows. Before
-//! each point is timed, both paths run the same ticks and every output
-//! **and** every LSTM state is compared with `f64::to_bits` — a
-//! divergence panics (nonzero exit from the binary), so a non-identical
-//! step can never report a speedup.
+//! per-session streaming loop over the same states and rows. Beside it,
+//! each point times the fleet's live step as the shards run it: each
+//! session's row copied into its lane, one frozen step from the
+//! sessions' frozen prefixes, read in place
+//! ([`BatchedStreamingRegressor::step_frozen_batch`]), and the dense
+//! stack, each output copied out. Before each point is timed, both
+//! steps run the same ticks as the per-session path (`step_normed` from
+//! the same state, or from the unfrozen prefix) and every output **and**
+//! every LSTM state is compared with `f64::to_bits` — a divergence
+//! panics (nonzero exit from the binary), so a non-identical step can
+//! never report a speedup.
 //!
 //! The `calibration` section measures threshold calibration's model
 //! replay: one synthetic trace of [`CALIBRATION_TICKS`] ticks through
@@ -49,8 +55,8 @@ use pidpiper_math::json_object;
 use pidpiper_math::Vec3;
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
-    BatchScratch, BatchedStreamingRegressor, InferenceScratch, LstmRegressor, RegressorConfig,
-    StreamState, StreamingRegressor,
+    BatchScratch, BatchedStreamingRegressor, FrozenPrefix, InferenceScratch, LstmRegressor,
+    RegressorConfig, StreamState, StreamingRegressor,
 };
 use pidpiper_sensors::{EstimatedState, SensorReadings};
 use std::collections::VecDeque;
@@ -146,6 +152,10 @@ pub struct BatchPoint {
     /// Nanoseconds per vehicle-tick (state and row copied in, lane-row
     /// step and finish, state and output copied out, divided by `batch`).
     pub ns_per_vehicle_tick: f64,
+    /// Nanoseconds per vehicle-tick of the live step from frozen
+    /// prefixes (row copied in, frozen step and finish, output copied
+    /// out, divided by `batch`).
+    pub frozen_ns_per_vehicle_tick: f64,
     /// Per-session streaming ns/vehicle-tick divided by this point's.
     pub speedup_vs_streaming: f64,
 }
@@ -240,6 +250,55 @@ fn batched_ticks(
     }
 }
 
+/// Runs `ticks` fleet-shaped live ticks from the frozen `prefixes`: each
+/// lane's row copied in, one frozen step and finish, each lane's output
+/// copied out. The prefixes do not change, as between two ring pushes.
+fn frozen_ticks(
+    batched: &BatchedStreamingRegressor,
+    scratch: &mut BatchScratch,
+    pool: &[Vec<f64>],
+    prefixes: &[&FrozenPrefix],
+    out: &mut [f64],
+    start: usize,
+    ticks: usize,
+) {
+    let n = prefixes.len();
+    let odim = out.len() / n.max(1);
+    for t in start..start + ticks {
+        for lane in 0..n {
+            scratch.load_row(lane, &pool[(t + lane) % ROW_POOL]);
+        }
+        batched.step_frozen_batch(scratch, prefixes);
+        batched.finish_batch(scratch, n);
+        for lane in 0..n {
+            scratch.read_output(lane, &mut out[lane * odim..(lane + 1) * odim]);
+        }
+        black_box(&mut *out);
+    }
+}
+
+/// Each state frozen into its own [`FrozenPrefix`], as a session keeps
+/// its prefix.
+fn freeze_each(engine: &StreamingRegressor, states: &[StreamState]) -> Vec<FrozenPrefix> {
+    let mut bank = engine.bank(1);
+    states
+        .iter()
+        .map(|s| {
+            let mut frozen = [engine.zero_prefix().clone()];
+            bank.load_lane(0, s);
+            engine.freeze_lanes(&mut bank, 0..1, &mut frozen).expect("one lane");
+            let [frozen] = frozen;
+            frozen
+        })
+        .collect()
+}
+
+/// Whether two states hold the same bits.
+fn same_bits(a: &StreamState, b: &StreamState) -> bool {
+    let bits = |s: &StreamState| s.parts().map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    bits(a) == bits(b)
+}
+
 /// The per-session twin of [`batched_ticks`]: the same states and rows
 /// through `step_normed` + `finish_into`, one session at a time.
 fn scalar_ticks(
@@ -303,6 +362,46 @@ fn assert_batched_agrees(
     }
 }
 
+/// The `to_bits` equality gate of the frozen live step for one batch
+/// size: [`GATE_TICKS`] live ticks from the frozen `warmed` prefixes
+/// against `step_normed` from a copy of each unfrozen prefix. Every
+/// output and every live LSTM state must match bit for bit or the bench
+/// panics.
+fn assert_frozen_agrees(
+    engine: &StreamingRegressor,
+    batched: &BatchedStreamingRegressor,
+    pool: &[Vec<f64>],
+    warmed: &[StreamState],
+) {
+    let n = warmed.len();
+    let odim = engine.config().output_dim;
+    let frozen = freeze_each(engine, warmed);
+    let prefixes: Vec<&FrozenPrefix> = frozen.iter().collect();
+    let mut scratch = batched.scratch(n);
+    let mut inf = engine.scratch();
+    let (mut live, mut lane_state) = (engine.state(), engine.state());
+    let mut out = vec![0.0; n * odim];
+    let mut want = vec![0.0; odim];
+    for t in 0..GATE_TICKS {
+        frozen_ticks(batched, &mut scratch, pool, &prefixes, &mut out, t, 1);
+        for (lane, prefix) in warmed.iter().enumerate() {
+            live.copy_from(prefix);
+            engine
+                .step_normed(&pool[(t + lane) % ROW_POOL], &mut live, &mut inf)
+                .expect("dim matches");
+            engine.finish_into(&live, &mut inf, &mut want).expect("dim matches");
+            scratch.store_state(lane, &mut lane_state);
+            let got = &out[lane * odim..(lane + 1) * odim];
+            assert!(
+                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits())
+                    && same_bits(&lane_state, &live),
+                "frozen live step diverged from streaming at batch {n}, tick {t}, lane {lane}; \
+                 refusing to benchmark"
+            );
+        }
+    }
+}
+
 /// Runs the batched section: equality gates, scalar baseline and every
 /// batch point.
 fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
@@ -328,8 +427,9 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     let mut points = Vec::with_capacity(BATCH_POINTS.len());
     for batch in BATCH_POINTS {
         let (pool, warmed) = batch_fixture(&engine, batch);
-        // Gate first: timing only runs for a bit-identical kernel.
+        // Gate first: timing only runs for bit-identical kernels.
         assert_batched_agrees(&engine, &batched, &pool, &warmed);
+        assert_frozen_agrees(&engine, &batched, &pool, &warmed);
         let mut scratch = batched.scratch(batch);
         let mut states = warmed.clone();
         let mut out = vec![0.0; batch * odim];
@@ -337,9 +437,16 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
         let t0 = Instant::now();
         batched_ticks(&batched, &mut scratch, &pool, &mut states, &mut out, warmup, ticks);
         let ns = t0.elapsed().as_nanos() as f64 / (ticks * batch) as f64;
+        let frozen = freeze_each(&engine, &warmed);
+        let prefixes: Vec<&FrozenPrefix> = frozen.iter().collect();
+        frozen_ticks(&batched, &mut scratch, &pool, &prefixes, &mut out, 0, warmup);
+        let t0 = Instant::now();
+        frozen_ticks(&batched, &mut scratch, &pool, &prefixes, &mut out, warmup, ticks);
+        let frozen_ns = t0.elapsed().as_nanos() as f64 / (ticks * batch) as f64;
         points.push(BatchPoint {
             batch,
             ns_per_vehicle_tick: ns,
+            frozen_ns_per_vehicle_tick: frozen_ns,
             speedup_vs_streaming: scalar_ns / ns.max(f64::MIN_POSITIVE),
         });
     }
@@ -685,6 +792,7 @@ impl PerfReport {
         for p in &self.batched.points {
             json::require_positive(&[
                 ("point ns_per_vehicle_tick", p.ns_per_vehicle_tick),
+                ("point frozen_ns_per_vehicle_tick", p.frozen_ns_per_vehicle_tick),
                 ("point speedup_vs_streaming", p.speedup_vs_streaming),
             ])?;
         }
@@ -708,6 +816,7 @@ pub fn to_json(r: &PerfReport) -> String {
         json_object! {
             "batch" => p.batch,
             "ns_per_vehicle_tick" => Json::fixed(p.ns_per_vehicle_tick, 1),
+            "frozen_ns_per_vehicle_tick" => Json::fixed(p.frozen_ns_per_vehicle_tick, 1),
             "speedup_vs_streaming" => Json::fixed(p.speedup_vs_streaming, 2),
         }
     });
@@ -767,11 +876,12 @@ pub fn write_report(r: &PerfReport) -> io::Result<()> {
     for p in &r.batched.points {
         println!(
             "exp_perf[batch {}]: {:.0} ns/vehicle-tick — {:.2}x vs streaming \
-             ({:.0} ns/vehicle-tick)",
+             ({:.0} ns/vehicle-tick); frozen live step {:.0} ns/vehicle-tick",
             p.batch,
             p.ns_per_vehicle_tick,
             p.speedup_vs_streaming,
             r.batched.scalar_ns_per_vehicle_tick,
+            p.frozen_ns_per_vehicle_tick,
         );
     }
     let c = &r.calibration;
@@ -839,10 +949,13 @@ mod tests {
     /// A fixed report whose rendering was captured from the hand-written
     /// template this writer replaced.
     fn fixed_report() -> PerfReport {
-        let point = |batch, ns_per_vehicle_tick, speedup_vs_streaming| BatchPoint {
-            batch,
-            ns_per_vehicle_tick,
-            speedup_vs_streaming,
+        let point = |batch, ns_per_vehicle_tick, frozen_ns_per_vehicle_tick, speedup_vs_streaming| {
+            BatchPoint {
+                batch,
+                ns_per_vehicle_tick,
+                frozen_ns_per_vehicle_tick,
+                speedup_vs_streaming,
+            }
         };
         PerfReport {
             config: RegressorConfig {
@@ -864,12 +977,12 @@ mod tests {
             batched: BatchedPerf {
                 scalar_ns_per_vehicle_tick: 3100.44,
                 points: vec![
-                    point(1, 3400.06, 0.912),
-                    point(7, 1500.04, 2.0669),
-                    point(16, 1200.5, 2.5837),
-                    point(52, 980.54, 3.1620),
-                    point(64, 950.25, 3.2627),
-                    point(256, 1010.0, 3.0697),
+                    point(1, 3400.06, 2480.04, 0.912),
+                    point(7, 1500.04, 1100.02, 2.0669),
+                    point(16, 1200.5, 880.46, 2.5837),
+                    point(52, 980.54, 720.54, 3.1620),
+                    point(64, 950.25, 700.26, 3.2627),
+                    point(256, 1010.0, 760.0, 3.0697),
                 ],
             },
             calibration: CalibrationPerf {
@@ -884,7 +997,8 @@ mod tests {
     #[test]
     fn json_matches_the_golden_rendering() {
         // Captured with the `f32` block, which was then cut from the file
-        // by hand; the `calibration` block was written in by hand from
+        // by hand; the `calibration` block and each point's
+        // `frozen_ns_per_vehicle_tick` line were written in by hand from
         // `fixed_report`'s values. Every other byte is as captured.
         let golden = json::minify(include_str!("../tests/golden/BENCH_inference.json"));
         let mut r = fixed_report();
@@ -901,7 +1015,7 @@ mod tests {
     fn check_rejects_each_violated_property() {
         assert_eq!(fixed_report().check(), Ok(()));
         type Breaker = fn(&mut PerfReport);
-        let cases: [(&str, Breaker); 15] = [
+        let cases: [(&str, Breaker); 16] = [
             ("hidden is 0", |r| r.config.hidden = 0),
             ("ticks is 0", |r| r.ticks = 0),
             ("ns_per_iter", |r| r.ns_per_iter = 0.0),
@@ -913,6 +1027,9 @@ mod tests {
             }),
             ("point ns_per_vehicle_tick", |r| {
                 r.batched.points[2].ns_per_vehicle_tick = 0.0
+            }),
+            ("point frozen_ns_per_vehicle_tick", |r| {
+                r.batched.points[4].frozen_ns_per_vehicle_tick = f64::NAN
             }),
             ("point speedup_vs_streaming", |r| {
                 r.batched.points[0].speedup_vs_streaming = f64::INFINITY

@@ -15,8 +15,8 @@ use crate::gate::GateConfig;
 use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
-    BatchScratch, BatchedStreamingRegressor, InferenceScratch, LstmRegressor, RegressorConfig,
-    StateBank, StreamingRegressor,
+    BatchScratch, BatchedStreamingRegressor, FrozenPrefix, InferenceScratch, LstmRegressor,
+    RegressorConfig, StateBank, StreamingRegressor,
 };
 
 /// Lanes per batched replay chunk, prefixes and ticks alike: the fleet's
@@ -66,10 +66,15 @@ impl Default for PipelineConfig {
 /// - the lane holding all `cap` rows is the *prefix*: the state after the
 ///   whole history, oldest row first. The next push restarts it from
 ///   zero, so every lane reaches `cap` rows once per `cap` pushes;
-/// - the bank's last lane is the *live* lane: each tick copies the prefix
-///   into it and steps this tick's row, then runs the dense stack. On a
-///   push tick the live lane is one more row of the push's step, since
-///   both read the same row;
+/// - the push that completes a prefix also *freezes* it (a
+///   [`FrozenPrefix`]: its cells and both layers' `Σ u·h`), since the
+///   prefix does not change until the next push;
+/// - the bank's last lane is the *live* lane: each tick steps this
+///   tick's row into it from the prefix, then runs the dense stack. A
+///   plain tick steps from the frozen prefix, two GEMMs instead of four.
+///   On a push tick the live lane starts from a copy of the prefix lane
+///   and is one more row of the push's step, since both read the same
+///   row;
 /// - all buffers are preallocated in [`FfcModel::new`]: after the first
 ///   `observe` call, the per-tick path performs zero heap allocation
 ///   (asserted by the `observe_allocations` test and the `exp_perf`
@@ -87,6 +92,9 @@ pub struct FfcModel {
     head: usize,
     /// Pushes so far, saturating at `window - 1` (the history is full).
     pushes: usize,
+    /// The current prefix, frozen at the push that completed it (the
+    /// zero state while `window == 1`).
+    frozen: FrozenPrefix,
     scratch: InferenceScratch,
     feat_buf: Vec<f64>,
     normed_buf: Vec<f64>,
@@ -125,6 +133,7 @@ impl FfcModel {
             bank: engine.bank(regressor.config().window),
             head: 0,
             pushes: 0,
+            frozen: engine.zero_prefix().clone(),
             scratch: engine.scratch(),
             feat_buf: Vec::with_capacity(dim),
             normed_buf: vec![0.0; dim],
@@ -217,38 +226,39 @@ impl FfcModel {
     }
 
     /// Normalizes this tick's features once and steps them through the
-    /// bank: the live lane when the history is full, and every started
-    /// partial window on a decimated push, as one lane range. Returns the
-    /// live lane's prediction, if the history was full. Allocation-free.
+    /// bank: the live lane when the history is full, from the frozen
+    /// prefix on a plain tick, and on a decimated push every started
+    /// partial window and the live lane as one lane range, freezing the
+    /// prefix the push completes. Returns the live lane's prediction, if
+    /// the history was full. Allocation-free.
     fn step_bank(&mut self) -> Result<Option<ActuatorSignal>, pidpiper_ml::PredictError> {
         let cap = self.engine.config().window - 1;
         let live = cap;
         let ready = self.pushes == cap;
+        // With no history (`window == 1`) nothing pushes and the prefix
+        // is the frozen zero state.
         let push = cap > 0 && self.step_counter.is_multiple_of(self.pipeline.decimate);
         self.engine.normalize_into(&self.feat_buf, &mut self.normed_buf)?;
-        if ready {
-            // With no history (`window == 1`) the prefix is the zero state.
-            if cap == 0 {
-                self.bank.zero_lane(live);
-            } else {
+        if push {
+            if ready {
                 self.bank.copy_lane(self.head, live);
             }
-        }
-        if push {
             self.bank.zero_lane(self.head);
-        }
-        // Lanes `0..=head` are the started partial windows until the
-        // history is full, then all `cap`; the live lane follows them.
-        let lanes = match (push, ready) {
-            (true, true) => 0..cap + 1,
-            (true, false) => 0..self.pushes + 1,
-            (false, true) => live..live + 1,
-            (false, false) => 0..0,
-        };
-        self.engine.step_lanes(&self.normed_buf, &mut self.bank, lanes)?;
-        if push {
+            // Lanes `0..=head` are the started partial windows until the
+            // history is full, then all `cap`; the live lane follows them.
+            let lanes = if ready { 0..cap + 1 } else { 0..self.pushes + 1 };
+            self.engine.step_lanes(&self.normed_buf, &mut self.bank, lanes)?;
             self.head = (self.head + 1) % cap;
             self.pushes = (self.pushes + 1).min(cap);
+            if self.pushes == cap {
+                let prefix = self.head..self.head + 1;
+                let frozen = std::slice::from_mut(&mut self.frozen);
+                self.engine.freeze_lanes(&mut self.bank, prefix, frozen)?;
+            }
+        } else if ready {
+            let live = live..live + 1;
+            self.engine
+                .step_frozen(&self.normed_buf, &[&self.frozen], &mut self.bank, live)?;
         }
         if !ready {
             return Ok(None);

@@ -418,9 +418,10 @@ mod tests {
         let a = scalar.bytes_per_session();
         let b = batched.bytes_per_session();
         assert!(b > a, "batched accounting must include the amortized scratch");
-        // The ~5 KB/session budget from OPERATIONS.md holds with the
-        // batch scratch amortized in.
-        assert!(b < 5 * 1024, "session must stay under ~5 KB, got {b}");
+        // The ~6.5 KB/session budget from OPERATIONS.md holds with the
+        // batch scratch amortized in (the frozen prefix costs 1152 bytes
+        // more than the `StreamState` the ~5 KB budget was set for).
+        assert!(b < 13 * 512, "session must stay under ~6.5 KB, got {b}");
     }
 
     #[test]

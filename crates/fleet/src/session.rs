@@ -4,13 +4,13 @@
 //! A [`VehicleSession`] is *not* a [`MissionRunner`] — the closed-loop
 //! simulator flies one vehicle with full physics and costs far too much
 //! to keep 100k of them resident. A session is the deployed monitoring
-//! core only: the PR-5 streaming FFC state (normalized history ring plus
-//! a checkpointed `StreamState`), four per-axis CUSUM accumulators, and
-//! the PR-4 graceful-degradation supervisor, all folded over a
-//! deterministic synthetic flight. Everything heavy — engine weights,
-//! inference scratch, live `StreamState` — is shared per shard, so the
-//! marginal cost of one more session is a few kilobytes (see
-//! [`VehicleSession::resident_bytes`]).
+//! core only: the streaming FFC state (normalized history ring plus the
+//! ring's prefix, frozen as a `FrozenPrefix`), four per-axis
+//! CUSUM accumulators, and the PR-4 graceful-degradation supervisor, all
+//! folded over a deterministic synthetic flight. Everything heavy —
+//! engine weights, inference scratch, the live LSTM state — is shared per
+//! shard, so the marginal cost of one more session is a few kilobytes
+//! (see [`VehicleSession::resident_bytes`]).
 //!
 //! [`MissionRunner`]: pidpiper_missions::MissionRunner
 
@@ -21,7 +21,7 @@ use pidpiper_faults::FaultSchedule;
 use pidpiper_math::{Cusum, Vec3};
 use pidpiper_missions::{Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError,
     MissionSpec, StrategyKind};
-use pidpiper_ml::{InferenceScratch, StreamState, StreamingRegressor};
+use pidpiper_ml::{FrozenPrefix, InferenceScratch, StateBank, StreamingRegressor};
 
 /// What [`VehicleSession::begin_tick`] established before inference: the
 /// simulated time, whether the fault schedule is active, and whether the
@@ -151,13 +151,14 @@ impl Default for SessionParams {
 }
 
 /// Heavy per-shard working set shared by all of a shard's sessions: the
-/// live `StreamState` the prefix checkpoint is copied into each tick, the
-/// inference scratch, and the feature buffers. Sessions touch it only
-/// through [`VehicleSession::tick`], one at a time, so sharing is safe
-/// and the per-session footprint stays small.
+/// one-lane live state each tick steps into from a session's frozen
+/// prefix (and a ring replay steps through), the inference scratch, and
+/// the feature buffers. Sessions touch it only through
+/// [`VehicleSession::tick`], one at a time, so sharing is safe and the
+/// per-session footprint stays small.
 #[derive(Debug, Clone)]
 pub struct ShardScratch {
-    pub(crate) live: StreamState,
+    pub(crate) live: StateBank,
     pub(crate) scratch: InferenceScratch,
     pub(crate) feat: Vec<f64>,
     pub(crate) normed: Vec<f64>,
@@ -169,7 +170,7 @@ impl ShardScratch {
     pub fn for_engine(engine: &StreamingRegressor) -> Self {
         let c = engine.config();
         ShardScratch {
-            live: engine.state(),
+            live: engine.bank(1),
             scratch: engine.scratch(),
             feat: Vec::with_capacity(c.input_dim),
             normed: vec![0.0; c.input_dim],
@@ -194,8 +195,9 @@ pub struct SessionTick {
 ///
 /// Persistent state per session (everything else is shard-shared):
 ///
-/// - a normalized feature ring of `window - 1` rows plus the checkpointed
-///   prefix [`StreamState`] — the PR-5 streaming layout;
+/// - a normalized feature ring of `window - 1` rows plus the ring's
+///   prefix, frozen ([`FrozenPrefix`]: both layers' cells and `Σ u·h`),
+///   which every live step reads until the next push;
 /// - four per-axis [`Cusum`] accumulators and their EMA baselines;
 /// - the PR-4 [`SessionSupervisor`] (health monitor, recovery watchdog,
 ///   latched [`HealthState`]);
@@ -211,8 +213,10 @@ pub struct VehicleSession {
     ring: Vec<f64>,
     ring_rows: usize,
     ring_head: usize,
-    /// `StreamState` after replaying the ring oldest-to-newest.
-    prefix: StreamState,
+    /// The state after replaying the ring oldest-to-newest, frozen;
+    /// `None` until the first push, while the prefix is the engine's
+    /// frozen zero state, so admitting a session writes no prefix memory.
+    prefix: Option<FrozenPrefix>,
     ticks_since_push: usize,
     ema: [f64; 4],
     ema_primed: bool,
@@ -240,7 +244,7 @@ impl VehicleSession {
             ring: Vec::with_capacity((c.window - 1) * c.input_dim),
             ring_rows: 0,
             ring_head: 0,
-            prefix: engine.state(),
+            prefix: None,
             ticks_since_push: 0,
             ema: [0.0; 4],
             ema_primed: false,
@@ -296,7 +300,7 @@ impl VehicleSession {
     }
 
     /// Bytes this session keeps resident between ticks: the ring and
-    /// prefix state (exactly [`StreamingRegressor::session_state_bytes`])
+    /// frozen prefix (exactly [`StreamingRegressor::session_state_bytes`])
     /// plus the struct itself (spec, CUSUMs, supervisor, counters).
     pub fn resident_bytes(&self, engine: &StreamingRegressor) -> usize {
         engine.session_state_bytes() + std::mem::size_of::<Self>()
@@ -337,12 +341,12 @@ impl VehicleSession {
     /// Advances the session one tick.
     ///
     /// Pipeline per tick: synthesize features → normalize → streaming
-    /// prediction (prefix checkpoint + live row, exactly the PR-5 layout)
-    /// → per-axis residual vs the EMA baseline into the CUSUMs →
+    /// prediction (the live row stepped from the frozen prefix) →
+    /// per-axis residual vs the EMA baseline into the CUSUMs →
     /// supervisor observes (prediction, tripped) → fingerprint mixes the
     /// tick. Every `decimate` ticks the normalized row is pushed into the
-    /// history ring and the prefix checkpoint is recomputed by replaying
-    /// the ring.
+    /// history ring and the prefix is recomputed by replaying the ring,
+    /// then frozen.
     ///
     /// # Errors
     ///
@@ -364,14 +368,14 @@ impl VehicleSession {
         } = scratch;
         let pro = self.begin_tick(engine, params, feat, normed)?;
 
-        // Streaming prediction: copy the prefix checkpoint, step the live
-        // row, run the dense head. Dimension errors cannot occur (every
-        // buffer is engine-shaped); on the impossible mismatch the session
-        // holds its previous prediction rather than crashing the shard.
+        // Streaming prediction: step the live row from the frozen prefix,
+        // run the dense head. Dimension errors cannot occur (every buffer
+        // is engine-shaped); on the impossible mismatch the session holds
+        // its previous prediction rather than crashing the shard.
         let prediction = if pro.normed_ok {
-            live.copy_from(&self.prefix);
-            let stepped = engine.step_normed(normed, live, inf).is_ok()
-                && engine.finish_into(live, inf, out).is_ok();
+            let prefix = self.prefix(engine);
+            let stepped = engine.step_frozen(normed, &[prefix], live, 0..1).is_ok()
+                && engine.finish_lane_into(live, 0, inf, out).is_ok();
             if stepped {
                 [out[0], out[1], out[2], out[3]]
             } else {
@@ -380,7 +384,8 @@ impl VehicleSession {
         } else {
             self.last_prediction
         };
-        let (tick, deferred) = self.finish_tick(engine, params, prediction, &pro, normed, Some(inf));
+        let (tick, deferred) =
+            self.finish_tick(engine, params, prediction, &pro, normed, Some(live));
         debug_assert!(!deferred, "inline scratch given, replay cannot defer");
         Ok(tick)
     }
@@ -446,12 +451,13 @@ impl VehicleSession {
     /// (EMA baseline → CUSUM → strategy trip decision), the supervisor and
     /// the fingerprint, and performs the decimated history-ring push.
     ///
-    /// The prefix-checkpoint replay that follows a ring push runs inline
-    /// when `replay_scratch` is `Some` (the per-session path); with `None`
-    /// the caller batches it instead, and the returned flag is `true` when
-    /// a replay is owed. Deferring is sound because the replay touches
-    /// only the prefix checkpoint, which nothing after the ring push in
-    /// this function reads — the deferred end state is bit-identical.
+    /// The prefix replay that follows a ring push runs inline when
+    /// `replay_scratch` (a one-lane bank to step the ring through) is
+    /// `Some` (the per-session path); with `None` the caller batches it
+    /// instead, and the returned flag is `true` when a replay is owed.
+    /// Deferring is sound because the replay touches only the prefix,
+    /// which nothing after the ring push in this function reads — the
+    /// deferred end state is bit-identical.
     pub(crate) fn finish_tick(
         &mut self,
         engine: &StreamingRegressor,
@@ -459,7 +465,7 @@ impl VehicleSession {
         prediction: [f64; 4],
         pro: &TickPrologue,
         normed: &[f64],
-        replay_scratch: Option<&mut InferenceScratch>,
+        replay_scratch: Option<&mut StateBank>,
     ) -> (SessionTick, bool) {
         let TickPrologue { t, fault_active, .. } = *pro;
         self.last_prediction = prediction;
@@ -539,7 +545,7 @@ impl VehicleSession {
             self.ticks_since_push = 0;
             self.push_ring(engine, normed);
             match replay_scratch {
-                Some(inf) => self.replay_prefix(engine, inf),
+                Some(bank) => self.replay_prefix(engine, bank),
                 None => replay_deferred = true,
             }
         }
@@ -582,33 +588,35 @@ impl VehicleSession {
         }
     }
 
-    /// Recomputes the prefix checkpoint by replaying the ring
-    /// oldest-to-newest from the zero state (the per-session path; the
-    /// batched path replays the same rows as lanes).
-    fn replay_prefix(&mut self, engine: &StreamingRegressor, inf: &mut InferenceScratch) {
+    /// Recomputes the prefix by replaying the ring oldest-to-newest from
+    /// the zero state through the one-lane `bank`, then freezes it (the
+    /// per-session path; the batched path replays the same rows as
+    /// lanes).
+    fn replay_prefix(&mut self, engine: &StreamingRegressor, bank: &mut StateBank) {
         let dim = engine.config().input_dim;
-        self.prefix.reset();
+        bank.reset();
         for i in 0..self.ring_rows {
-            let idx = (self.ring_head + i) % self.ring_rows;
-            let row = &self.ring[idx * dim..(idx + 1) * dim];
-            // Engine-shaped row: cannot mismatch; skip defensively if it
-            // somehow does rather than poisoning the checkpoint.
-            if engine.step_normed(row, &mut self.prefix, inf).is_err() {
+            // Engine-shaped rows and bank: cannot mismatch; stop
+            // defensively if they somehow do, as a replay of fewer rows.
+            if engine.step_lanes(self.ring_row(i, dim), bank, 0..1).is_err() {
                 break;
             }
         }
+        // The same shapes again: an error leaves the old prefix.
+        let prefix = std::slice::from_mut(self.prefix_mut(engine));
+        let _ = engine.freeze_lanes(bank, 0..1, prefix);
     }
 
-    /// The prefix checkpoint (batched path: copied into a lane before
-    /// the live step).
-    pub(crate) fn prefix(&self) -> &StreamState {
-        &self.prefix
+    /// The frozen prefix (batched path: read in place by the live
+    /// step).
+    pub(crate) fn prefix<'a>(&'a self, engine: &'a StreamingRegressor) -> &'a FrozenPrefix {
+        self.prefix.as_ref().unwrap_or(engine.zero_prefix())
     }
 
-    /// Mutable prefix checkpoint (batched path: copied out of its lane
-    /// after a batched replay).
-    pub(crate) fn prefix_mut(&mut self) -> &mut StreamState {
-        &mut self.prefix
+    /// The session's own frozen prefix, allocated on first use (batched
+    /// path: copied out of its lane after a batched replay).
+    pub(crate) fn prefix_mut(&mut self, engine: &StreamingRegressor) -> &mut FrozenPrefix {
+        self.prefix.get_or_insert_with(|| engine.zero_prefix().clone())
     }
 
     /// Rows currently in the history ring — the batched-replay grouping
@@ -617,7 +625,7 @@ impl VehicleSession {
         self.ring_rows
     }
 
-    /// The `i`-th oldest ring row (replay order), for batched replay.
+    /// The `i`-th oldest ring row (replay order).
     pub(crate) fn ring_row(&self, i: usize, dim: usize) -> &[f64] {
         let idx = (self.ring_head + i) % self.ring_rows;
         &self.ring[idx * dim..(idx + 1) * dim]
@@ -813,10 +821,14 @@ mod tests {
         let params = SessionParams::default();
         let s = VehicleSession::new(SessionSpec::new(0, 0), &eng, &params);
         let b = s.resident_bytes(&eng);
-        assert!(b >= eng.session_state_bytes());
-        // Standard config: 4*24*8 state + 19*24*8 ring = 4416 bytes + struct.
-        // The ~5 KB/session budget also covers the amortized share of the
-        // shard-level batch scratch (see engine::bytes_per_session tests).
-        assert!(b < 5 * 1024, "session must stay compact, got {b} bytes");
+        // Standard config: a frozen prefix of (2 + 8)*24*8 = 1920 bytes
+        // (1152 more than a 4*24*8 `StreamState`, the price of skipping
+        // two GEMMs per live step) + a 19*24*8 = 3648-byte ring.
+        assert_eq!(eng.session_state_bytes(), 1920 + 3648);
+        assert_eq!(b, eng.session_state_bytes() + std::mem::size_of::<VehicleSession>());
+        // The ~6.5 KB/session budget (OPERATIONS.md) also covers the
+        // amortized share of the shard-level batch scratch (see
+        // engine::bytes_per_session tests).
+        assert!(b < 13 * 512, "session must stay compact, got {b} bytes");
     }
 }

@@ -29,8 +29,9 @@ pub(crate) const BATCH_WIDTH: usize = 64;
 /// `FleetEngine::bytes_per_session`.
 #[derive(Debug)]
 pub(crate) struct BatchState {
-    /// Lane states, each session's normalized live row (kept in its lane
-    /// for the ring push after the step) and the dense stack's rows.
+    /// Lane states and frozen prefixes, each session's normalized live
+    /// row (kept in its lane for the ring push after the step) and the
+    /// dense stack's rows.
     scratch: BatchScratch,
     /// Session indices that completed their prologue this chunk.
     lanes: Vec<usize>,
@@ -322,11 +323,11 @@ impl Shard {
     ///
     /// 1. **prologue/load** — each session's budget check, synthetic
     ///    flight and normalization ([`VehicleSession::begin_tick`]) into
-    ///    its lane's input row, and its prefix checkpoint copied into the
-    ///    lane's state rows. Budget violators are set aside (lane
+    ///    its lane's input row. Budget violators are set aside (lane
     ///    numbering stays stable) and retired after the loop, in the same
     ///    ascending-index order as the per-session path.
-    /// 2. **batched inference** — one `step_batch` + `finish_batch` over
+    /// 2. **batched inference** — one `step_frozen_batch` from the
+    ///    sessions' frozen prefixes, read in place, + `finish_batch` over
     ///    the chunk's lanes.
     /// 3. **epilogue** — each lane's prediction feeds
     ///    [`VehicleSession::finish_tick`] (monitor, supervisor,
@@ -337,8 +338,9 @@ impl Shard {
     /// replay batch must step the same number of rows — sessions
     /// mid-warmup or on a different decimation phase simply land in
     /// different groups or different ticks), replayed a group chunk at a
-    /// time from the zero state and copied back into each session's
-    /// prefix. A group of one is a one-lane step. Every f64 op matches
+    /// time from the zero state, frozen with one recurrent GEMM pair per
+    /// chunk and copied back into each session's prefix. A group of one
+    /// is a one-lane step. Every f64 op matches
     /// the per-session path, so fingerprints are bit-identical — the
     /// fleet bench gates this (`batch_invariant`).
     fn tick_batched(
@@ -367,9 +369,6 @@ impl Shard {
                 let row = state.scratch.row_mut(lane);
                 match session.begin_tick(engine, params, feat, row) {
                     Ok(pro) => {
-                        if pro.normed_ok {
-                            state.scratch.load_state(lane, session.prefix());
-                        }
                         state.lanes.push(i);
                         state.pros.push(pro);
                     }
@@ -377,7 +376,13 @@ impl Shard {
                 }
             }
             let n = state.lanes.len();
-            batched.step_batch(&mut state.scratch, n);
+            // A lane whose row failed to normalize steps too; its
+            // prediction is not read.
+            let mut prefixes = [engine.zero_prefix(); BATCH_WIDTH];
+            for (p, &i) in prefixes.iter_mut().zip(&state.lanes) {
+                *p = sessions[i].prefix(engine);
+            }
+            batched.step_frozen_batch(&mut state.scratch, &prefixes[..n]);
             batched.finish_batch(&mut state.scratch, n);
             let mut pred = [0.0f64; 4];
             for (lane, (&i, pro)) in state.lanes.iter().zip(&state.pros).enumerate() {
@@ -428,8 +433,9 @@ impl Shard {
                     }
                     batched.step_batch(&mut state.scratch, lanes.len());
                 }
+                batched.freeze_batch(&mut state.scratch, lanes.len());
                 for (lane, &i) in lanes.iter().enumerate() {
-                    state.scratch.store_state(lane, sessions[i].prefix_mut());
+                    state.scratch.store_frozen(lane, sessions[i].prefix_mut(engine));
                 }
             }
             g = group_end;

@@ -79,9 +79,18 @@ pub fn is_zero(x: f64) -> bool {
 /// operation such as `inf · 0` returns the hardware's default NaN; which
 /// one a compiled loop yields depends on operand order. The GEMM and
 /// activation kernels store through this function, so their NaN bits are
-/// the same on every code path.
+/// the same on every code path; so does any caller that adds a stored
+/// GEMM result in a later pass and must keep the kernel's bits.
+///
+/// # Examples
+///
+/// ```
+/// use pidpiper_math::float::canonical_nan;
+/// assert_eq!(canonical_nan(-f64::NAN).to_bits(), f64::NAN.to_bits());
+/// assert_eq!(canonical_nan(-0.0).to_bits(), (-0.0f64).to_bits());
+/// ```
 #[inline(always)]
-pub(crate) fn canonical_nan(x: f64) -> f64 {
+pub fn canonical_nan(x: f64) -> f64 {
     if x.is_nan() {
         f64::NAN
     } else {

@@ -1,11 +1,16 @@
 //! Lane-row batches: many sessions or windows of one model stepped
 //! together. A [`BatchScratch`] is a [`StateBank`] of `width` lanes plus
-//! `[width x input_dim]` input rows and the dense stack's row buffers;
-//! [`BatchedStreamingRegressor`] borrows a compiled [`StreamingRegressor`]
-//! and steps a range of lanes as the rows of one GEMM per gate block over
-//! its k-major weights ([`StreamingRegressor::step_lane_rows`]), then the
-//! dense stack over the same rows. The fleet shards and the threshold
-//! calibration (`FfcModel::replay`) run their inference through it.
+//! `[width x input_dim]` input rows, the dense stack's row buffers and
+//! `width` [`FrozenPrefix`] slots; [`BatchedStreamingRegressor`] borrows
+//! a compiled [`StreamingRegressor`] and steps a range of lanes as the
+//! rows of one GEMM per gate block over its k-major weights
+//! ([`StreamingRegressor::step_lane_rows`]), then the dense stack over the
+//! same rows. The fleet shards and the threshold calibration
+//! (`FfcModel::replay`) run their inference through it. The fleet's live
+//! lanes step from their sessions' frozen prefixes instead, read in place
+//! ([`BatchedStreamingRegressor::step_frozen_batch`]), and its ring
+//! replays freeze their lanes into the slots for the next live steps
+//! ([`BatchedStreamingRegressor::freeze_batch`]).
 //!
 //! Each lane is its own row of every GEMM, summed in ascending `k` with the
 //! `(bias + w·x) + u·h` reduction of the streaming step, so a lane steps to
@@ -14,7 +19,7 @@
 //! gates this with `to_bits`; `exp_perf` re-gates it before timing.
 
 use std::ops::Range;
-use crate::stream::{StateBank, StreamState, StreamingRegressor};
+use crate::stream::{FrozenPrefix, StateBank, StreamState, StreamingRegressor};
 
 /// Where lane `lane` sits in a `[width x dim]` block of `len` values.
 fn lane_at(len: usize, width: usize, lane: usize) -> Range<usize> {
@@ -32,6 +37,9 @@ fn lane_at(len: usize, width: usize, lane: usize) -> Range<usize> {
 pub struct BatchScratch {
     /// LSTM states and gate panel.
     bank: StateBank,
+    /// Each lane's prefix as [`BatchedStreamingRegressor::freeze_batch`]
+    /// froze it.
+    frozen: Vec<FrozenPrefix>,
     /// Normalized input rows (`[width x input_dim]`).
     x: Vec<f64>,
     /// Dense ping-pong rows (`fc_width` each), then normalized and
@@ -51,7 +59,9 @@ impl BatchScratch {
     /// Heap bytes held by this scratch.
     pub fn resident_bytes(&self) -> usize {
         let rows = self.x.len() + self.fc_a.len() + self.fc_b.len() + self.z.len() + self.out.len();
-        self.bank.resident_bytes() + rows * std::mem::size_of::<f64>()
+        self.bank.resident_bytes()
+            + self.frozen.iter().map(FrozenPrefix::resident_bytes).sum::<usize>()
+            + rows * std::mem::size_of::<f64>()
     }
 
     /// Zeroes every lane's LSTM state (the start of a window).
@@ -77,17 +87,18 @@ impl BatchScratch {
 
     /// Overwrites `lane`'s LSTM state with `state` (four row copies).
     pub fn load_state(&mut self, lane: usize, state: &StreamState) {
-        for (b, v) in [&state.h1, &state.c1, &state.h2, &state.c2].into_iter().enumerate() {
-            self.bank.rows_mut(b, lane..lane + 1).copy_from_slice(v);
-        }
+        self.bank.load_lane(lane, state);
     }
 
     /// Copies `lane`'s LSTM state out into `state` (four row copies).
     pub fn store_state(&self, lane: usize, state: &mut StreamState) {
-        let StreamState { h1, c1, h2, c2 } = state;
-        for (b, v) in [h1, c1, h2, c2].into_iter().enumerate() {
-            v.copy_from_slice(self.bank.rows(b, lane..lane + 1));
-        }
+        self.bank.store_lane(lane, state);
+    }
+
+    /// Copies the prefix `lane` last froze out into `prefix` (four row
+    /// copies).
+    pub fn store_frozen(&self, lane: usize, prefix: &mut FrozenPrefix) {
+        prefix.copy_from(&self.frozen[lane]);
     }
 
     /// Overwrites lane `dst`'s LSTM state with lane `src`'s.
@@ -141,6 +152,7 @@ impl<'a> BatchedStreamingRegressor<'a> {
         let c = self.engine.config();
         BatchScratch {
             bank: self.engine.bank(width),
+            frozen: vec![self.engine.zero_prefix().clone(); width],
             x: vec![0.0; width * c.input_dim],
             fc_a: vec![0.0; width * c.fc_width],
             fc_b: vec![0.0; width * c.fc_width],
@@ -166,6 +178,29 @@ impl<'a> BatchedStreamingRegressor<'a> {
         let rows = &scratch.x[lanes.start * dim..lanes.end * dim];
         let stepped = self.engine.step_lane_rows(rows, &mut scratch.bank, lanes);
         assert!(stepped.is_ok(), "lane step refused: {stepped:?}");
+    }
+
+    /// Steps lanes `0..n` (`n = prefixes.len()`) from `prefixes`, lane
+    /// `i` by its loaded input row from `prefixes[i]`, as one `m`-row step
+    /// ([`StreamingRegressor::step_frozen`]): the live step of `n`
+    /// sessions, one GEMM per layer fewer than
+    /// [`BatchedStreamingRegressor::step_batch`] from the same prefixes.
+    pub fn step_frozen_batch(&self, scratch: &mut BatchScratch, prefixes: &[&FrozenPrefix]) {
+        let n = prefixes.len();
+        let rows = &scratch.x[..n * self.engine.config().input_dim];
+        let stepped = self
+            .engine
+            .step_frozen(rows, prefixes, &mut scratch.bank, 0..n);
+        assert!(stepped.is_ok(), "frozen step refused: {stepped:?}");
+    }
+
+    /// Freezes the LSTM states of lanes `0..n` into their prefix slots
+    /// ([`StreamingRegressor::freeze_lanes`]; one recurrent GEMM pair for
+    /// all `n`), to read back with [`BatchScratch::store_frozen`].
+    pub fn freeze_batch(&self, scratch: &mut BatchScratch, n: usize) {
+        let BatchScratch { bank, frozen, .. } = scratch;
+        let stored = self.engine.freeze_lanes(bank, 0..n, &mut frozen[..n]);
+        assert!(stored.is_ok(), "freeze refused: {stored:?}");
     }
 
     /// `StreamingRegressor::finish_into` over the lanes in `lanes` as `m`

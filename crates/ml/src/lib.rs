@@ -27,7 +27,9 @@
 //!   reference `predict` path. One step runs any number of lanes as the
 //!   rows of `pidpiper_math::gemm` products over those blocks: one lane
 //!   for a single [`stream::StreamState`], several for a
-//!   [`stream::StateBank`];
+//!   [`stream::StateBank`]. A live step from a completed prefix reads
+//!   that prefix's recurrent products from a [`stream::FrozenPrefix`]
+//!   instead of recomputing them;
 //! - [`batch::BatchedStreamingRegressor`] — the same lane-row step for
 //!   batches that give every lane its own input row (fleet sessions,
 //!   calibration windows), over a caller-owned [`batch::BatchScratch`];
@@ -68,4 +70,6 @@ pub use network::{LstmRegressor, RegressorConfig, TrainReport};
 pub use normalize::Normalizer;
 pub use param::Param;
 pub use selection::{greedy_forward_selection, vif_prune};
-pub use stream::{InferenceScratch, PredictError, StateBank, StreamState, StreamingRegressor};
+pub use stream::{
+    FrozenPrefix, InferenceScratch, PredictError, StateBank, StreamState, StreamingRegressor,
+};

@@ -22,6 +22,12 @@
 //!   every window in one step) or [`StreamingRegressor::step_lane_rows`]
 //!   (each lane reads its own row: the fleet's sessions and the
 //!   calibration replay's windows, through [`crate::batch`]);
+//! - [`FrozenPrefix`] — a completed prefix frozen for its live steps:
+//!   both layers' cells `c1, c2` plus each layer's recurrent accumulator
+//!   `r = Σ u·h`, so a live step from a prefix that does not change
+//!   between ring pushes ([`StreamingRegressor::step_frozen`], any number
+//!   of lanes, each from its own prefix) runs two GEMMs (the `W·x`
+//!   passes) instead of four;
 //! - [`StreamingRegressor::predict_into`] — a whole-window entry point
 //!   that is **bit-identical** to [`LstmRegressor::predict`] and performs
 //!   zero heap allocation after the scratch has been built.
@@ -47,7 +53,15 @@
 //! lane, so it is computed once and copied into each lane's gate row
 //! before that lane adds its own `Σ u·h`. The GEMM gives every row its
 //! own chain, so a lane's bits do not depend on how many lanes step with
-//! it. Dense layers are the same single pass,
+//! it.
+//!
+//! A frozen prefix stores each gate's `Σ u·h` as the GEMM stores it into
+//! a zeroed row: the chain starts at `+0.0`, so it is never `−0.0` and
+//! `0.0 + Σ` is `Σ` itself, and a NaN is stored canonical. A frozen step
+//! adds that value to `bias + Σ w·x` in one rounding step, canonicalising
+//! a NaN as the GEMM's store does, which is the bits of the `h` pass:
+//! `(bias + Σ w·x) + Σ u·h` again, never `bias + (Σ w·x + Σ u·h)`.
+//! Dense layers are the same single pass,
 //! `bias + Σ w·x`. The slice kernels apply the same per-element ops as the
 //! scalar activations. Tests in this module and `crates/ml/tests` compare
 //! outputs with `f64::to_bits`, not an epsilon.
@@ -60,6 +74,7 @@ use crate::lstm::LstmLayer;
 use crate::network::{LstmRegressor, RegressorConfig};
 use crate::normalize::Normalizer;
 use pidpiper_math::activations::{fast_sigmoid_slice, fast_tanh_slice};
+use pidpiper_math::float::canonical_nan;
 use pidpiper_math::gemm::gemm_acc;
 use std::fmt;
 use std::ops::Range;
@@ -193,21 +208,47 @@ impl FusedLstm {
         }
     }
 
+    /// The recurrent block `U^T` (`hidden` k-major rows).
+    fn u_cols(&self) -> &[f64] {
+        &self.cols[self.input * 4 * self.hidden..]
+    }
+
+    /// `r = Σ u·h` of `m` lane rows of `h` (`[m x hidden]`) into `r`
+    /// (`[m x 4*hidden]`), each element one ascending-`k` chain stored
+    /// into a zeroed row: the `h` pass of [`FusedLstm::step`], kept for
+    /// the frozen steps that follow.
+    fn recurrent_into(&self, h: &[f64], r: &mut [f64], m: usize) {
+        let (hd, g) = (self.hidden, 4 * self.hidden);
+        let r = &mut r[..m * g];
+        r.fill(0.0);
+        gemm_acc(&h[..m * hd], hd, m, hd, self.u_cols(), g, r, g, g);
+    }
+
     /// One cell update of `m` lanes, in place. `h` and `c` are
     /// `[m x hidden]` lane rows and `pre` must hold at least
     /// `m * 4*hidden` slots (the gate panel, one row per lane). The
     /// accumulation order — `(bias + w·x) + u·h`, each dot product summed
     /// in ascending `k` into its own accumulator — mirrors
     /// `Param::matvec_into` exactly; changing it breaks bit-identity with
-    /// the reference path.
+    /// the reference path. `rec` picks where `u·h` and the previous cells
+    /// come from: the `h`/`c` rows themselves, or a frozen prefix (then
+    /// `h` and `c` are outputs only).
     #[inline(always)]
-    fn step(&self, x: LayerInput<'_>, h: &mut [f64], c: &mut [f64], pre: &mut [f64], m: usize) {
+    fn step(
+        &self,
+        x: LayerInput<'_>,
+        rec: Recurrent<'_>,
+        h: &mut [f64],
+        c: &mut [f64],
+        pre: &mut [f64],
+        m: usize,
+    ) {
         let hd = self.hidden;
         let g = 4 * hd;
         debug_assert_eq!(h.len(), m * hd);
         debug_assert_eq!(c.len(), m * hd);
         let pre = &mut pre[..m * g];
-        let (w_cols, u_cols) = self.cols.split_at(self.input * g);
+        let w_cols = &self.cols[..self.input * g];
         match x {
             // `bias + W·x` is the same for every lane: compute it once.
             LayerInput::Shared(x) => {
@@ -223,7 +264,20 @@ impl FusedLstm {
                 affine_rows(x, self.input, w_cols, &self.bias, pre, m);
             }
         }
-        gemm_acc(h, hd, m, hd, u_cols, g, pre, g, g);
+        match rec {
+            Recurrent::State => gemm_acc(h, hd, m, hd, self.u_cols(), g, pre, g, g),
+            // The `h` pass's store, from the stored chain (module docs).
+            Recurrent::Frozen { prefixes, layer } => {
+                let lanes = pre.chunks_exact_mut(g).zip(c.chunks_exact_mut(hd));
+                for ((row, c), prefix) in lanes.zip(prefixes) {
+                    let (r, cells) = prefix.layer(layer);
+                    for (p, &r) in row.iter_mut().zip(r) {
+                        *p = canonical_nan(*p + r);
+                    }
+                    c.copy_from_slice(cells);
+                }
+            }
+        }
         for row in pre.chunks_exact_mut(g) {
             // i/f/o gates are the contiguous sigmoid units, g the tanh ones.
             let (sig, cand) = row.split_at_mut(3 * hd);
@@ -255,6 +309,18 @@ impl FusedLstm {
             }
         }
     }
+}
+
+/// Where one [`FusedLstm::step`] takes `Σ u·h` and the previous cells.
+#[derive(Clone, Copy)]
+enum Recurrent<'a> {
+    /// From the stepped lanes' own `h` and `c` rows.
+    State,
+    /// Lane `i`'s from layer `layer` (0 or 1) of `prefixes[i]`.
+    Frozen {
+        prefixes: &'a [&'a FrozenPrefix],
+        layer: usize,
+    },
 }
 
 /// The input of one [`FusedLstm::step`].
@@ -361,10 +427,16 @@ impl StreamState {
     }
 
     /// Heap bytes held by this state: the four hidden-sized `f64`
-    /// vectors (`4 * hidden * 8`). Used by fleet capacity planning.
+    /// vectors (`4 * hidden * 8`).
     pub fn resident_bytes(&self) -> usize {
         (self.h1.len() + self.c1.len() + self.h2.len() + self.c2.len())
             * std::mem::size_of::<f64>()
+    }
+
+    /// The state rows `[h1, c1, h2, c2]`, for callers that compare
+    /// states bit for bit.
+    pub fn parts(&self) -> [&[f64]; 4] {
+        [&self.h1, &self.c1, &self.h2, &self.c2]
     }
 }
 
@@ -466,6 +538,80 @@ impl StateBank {
             self.buf.copy_within(from..from + self.hidden, to);
         }
     }
+
+    /// Overwrites lane `lane` with `state` (four row copies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `state` belongs to another
+    /// engine shape.
+    pub fn load_lane(&mut self, lane: usize, state: &StreamState) {
+        for (b, v) in state.parts().into_iter().enumerate() {
+            self.rows_mut(b, lane..lane + 1).copy_from_slice(v);
+        }
+    }
+
+    /// Copies lane `lane` out into `state` (four row copies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `state` belongs to another
+    /// engine shape.
+    pub fn store_lane(&self, lane: usize, state: &mut StreamState) {
+        let StreamState { h1, c1, h2, c2 } = state;
+        for (b, v) in [h1, c1, h2, c2].into_iter().enumerate() {
+            v.copy_from_slice(self.rows(b, lane..lane + 1));
+        }
+    }
+}
+
+/// A completed prefix frozen for its live steps.
+///
+/// A prefix (the LSTM state after a window's history rows) is read by
+/// every live step until the next ring push replaces it, so its
+/// recurrent products need computing only once. A frozen prefix keeps
+/// both layers' cells `c1, c2` and their accumulators `r1 = Σ u·h1`,
+/// `r2 = Σ u·h2` (module docs), `10 * hidden` values in all; its `h`
+/// rows are not needed again. Start from
+/// [`StreamingRegressor::zero_prefix`] (the frozen zero state), fill with
+/// [`StreamingRegressor::freeze_lanes`], step from with
+/// [`StreamingRegressor::step_frozen`].
+#[derive(Debug, Clone)]
+pub struct FrozenPrefix {
+    /// Both layers' cells (`hidden` each).
+    c1: Vec<f64>,
+    c2: Vec<f64>,
+    /// Both layers' stored `Σ u·h` (`4*hidden` each).
+    r1: Vec<f64>,
+    r2: Vec<f64>,
+}
+
+impl FrozenPrefix {
+    /// Layer `layer`'s (0 or 1) accumulators and cells.
+    fn layer(&self, layer: usize) -> (&[f64], &[f64]) {
+        match layer {
+            0 => (&self.r1, &self.c1),
+            _ => (&self.r2, &self.c2),
+        }
+    }
+
+    /// Heap bytes held: `10 * hidden` values.
+    pub fn resident_bytes(&self) -> usize {
+        (self.c1.len() + self.c2.len() + self.r1.len() + self.r2.len())
+            * std::mem::size_of::<f64>()
+    }
+
+    /// Overwrites this prefix with `other` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prefixes belong to differently-sized engines.
+    pub fn copy_from(&mut self, other: &FrozenPrefix) {
+        self.c1.copy_from_slice(&other.c1);
+        self.c2.copy_from_slice(&other.c2);
+        self.r1.copy_from_slice(&other.r1);
+        self.r2.copy_from_slice(&other.r2);
+    }
 }
 
 /// Preallocated working buffers for one [`StreamingRegressor`].
@@ -546,6 +692,8 @@ pub struct StreamingRegressor {
     pub(crate) head: CompiledDense,
     pub(crate) normalizer: Normalizer,
     pub(crate) target_normalizer: Normalizer,
+    /// The frozen zero state, computed once here.
+    zero_prefix: FrozenPrefix,
 }
 
 impl StreamingRegressor {
@@ -554,16 +702,29 @@ impl StreamingRegressor {
     pub fn compile(model: &LstmRegressor) -> Self {
         let (lstm1, lstm2) = model.lstm_layers();
         let (fc_sigmoid, fc_prelu1, fc_prelu2, head) = model.dense_stack();
+        let (lstm1, lstm2) = (FusedLstm::from_layer(lstm1), FusedLstm::from_layer(lstm2));
+        let hd = model.config().hidden;
+        let zeros = vec![0.0; hd];
+        let (mut r1, mut r2) = (vec![0.0; 4 * hd], vec![0.0; 4 * hd]);
+        lstm1.recurrent_into(&zeros, &mut r1, 1);
+        lstm2.recurrent_into(&zeros, &mut r2, 1);
+        let zero_prefix = FrozenPrefix {
+            c1: zeros.clone(),
+            c2: zeros,
+            r1,
+            r2,
+        };
         StreamingRegressor {
             config: *model.config(),
-            lstm1: FusedLstm::from_layer(lstm1),
-            lstm2: FusedLstm::from_layer(lstm2),
+            lstm1,
+            lstm2,
             fc_sigmoid: CompiledDense::from_dense(fc_sigmoid),
             fc_prelu1: CompiledDense::from_dense(fc_prelu1),
             fc_prelu2: CompiledDense::from_dense(fc_prelu2),
             head: CompiledDense::from_dense(head),
             normalizer: model.normalizer().clone(),
             target_normalizer: model.target_normalizer().clone(),
+            zero_prefix,
         }
     }
 
@@ -587,9 +748,17 @@ impl StreamingRegressor {
         StateBank::zeros(self.config.hidden, lanes)
     }
 
+    /// The frozen zero state, the prefix of an empty history: zero cells,
+    /// and the accumulators of a zero `h`, computed at compile time as any
+    /// other freeze. Clone it for a prefix of one's own.
+    pub fn zero_prefix(&self) -> &FrozenPrefix {
+        &self.zero_prefix
+    }
+
     /// Bytes a long-lived fleet session must keep *resident between
-    /// ticks* to stream this engine: one checkpoint [`StreamState`]
-    /// (`4 * hidden` f64s) plus a normalized history ring of `window - 1`
+    /// ticks* to stream this engine: its prefix as a
+    /// [`FrozenPrefix`] (`2 * hidden` cells plus `8 * hidden`
+    /// accumulators, f64s) plus a normalized history ring of `window - 1`
     /// feature rows (`(window - 1) * input_dim` f64s). This sizes the
     /// fleet's ring session, not the single-vehicle FFC, which keeps a
     /// [`StateBank`] of partial windows instead of a ring.
@@ -599,7 +768,7 @@ impl StreamingRegressor {
     /// marginal cost of one more session, the number fleet capacity
     /// planning multiplies by the session count (see `OPERATIONS.md`).
     pub fn session_state_bytes(&self) -> usize {
-        let state = 4 * self.config.hidden * std::mem::size_of::<f64>();
+        let state = 10 * self.config.hidden * std::mem::size_of::<f64>();
         let ring =
             (self.config.window - 1) * self.config.input_dim * std::mem::size_of::<f64>();
         state + ring
@@ -676,7 +845,7 @@ impl StreamingRegressor {
         lanes: Range<usize>,
     ) -> Result<(), PredictError> {
         self.check_step(x_normed.len(), 1, bank, &lanes)?;
-        self.step_bank(LayerInput::Shared(x_normed), bank, lanes);
+        self.step_bank(LayerInput::Shared(x_normed), None, bank, lanes);
         Ok(())
     }
 
@@ -699,7 +868,83 @@ impl StreamingRegressor {
         lanes: Range<usize>,
     ) -> Result<(), PredictError> {
         self.check_step(rows.len(), lanes.len(), bank, &lanes)?;
-        self.step_bank(LayerInput::Lanes(rows), bank, lanes);
+        self.step_bank(LayerInput::Lanes(rows), None, bank, lanes);
+        Ok(())
+    }
+
+    /// The live step from frozen prefixes: lane `lanes.start + i` of
+    /// `bank` steps one *already-normalized* row `i` of `rows`
+    /// (`[m x input_dim]`, `m = lanes.len()`) from `prefixes[i]`, as one
+    /// `m`-row step that reads `Σ u·h` from the prefixes instead of
+    /// computing it. Each lane ends with the bits
+    /// [`StreamingRegressor::step_normed`] gives the unfrozen prefix fed
+    /// the same row; its previous contents are not read. The prefixes
+    /// are read where they lie (a fleet session's own, say): nothing is
+    /// copied into the bank first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::FeatureDim`] if `rows` is not `m` rows
+    /// long, and [`PredictError::LaneRange`] if the range runs past the
+    /// bank or `prefixes` is not `m` prefixes of this engine's shape.
+    pub fn step_frozen(
+        &self,
+        rows: &[f64],
+        prefixes: &[&FrozenPrefix],
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+    ) -> Result<(), PredictError> {
+        self.check_step(rows.len(), lanes.len(), bank, &lanes)?;
+        let hd = self.config.hidden;
+        if prefixes.len() != lanes.len() || prefixes.iter().any(|p| p.c1.len() != hd) {
+            return Err(PredictError::LaneRange {
+                end: lanes.end,
+                lanes: prefixes.len(),
+            });
+        }
+        self.step_bank(LayerInput::Lanes(rows), Some(prefixes), bank, lanes);
+        Ok(())
+    }
+
+    /// Freezes lanes `lanes` of `bank` into `frozen[i]` for lane
+    /// `lanes.start + i`: copies the cells and computes both layers'
+    /// `Σ u·h`, one recurrent GEMM pair for all `m = lanes.len()` lanes,
+    /// through the bank's gate panel. The lanes' states are untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::LaneRange`] if the range runs past the
+    /// bank or `frozen` is not `m` prefixes of this engine's shape.
+    pub fn freeze_lanes(
+        &self,
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+        frozen: &mut [FrozenPrefix],
+    ) -> Result<(), PredictError> {
+        self.check_lanes(bank, &lanes)?;
+        let hd = self.config.hidden;
+        if frozen.len() != lanes.len() || frozen.iter().any(|p| p.c1.len() != hd) {
+            return Err(PredictError::LaneRange {
+                end: lanes.end,
+                lanes: frozen.len(),
+            });
+        }
+        let m = lanes.len();
+        let at = lanes.start * hd..lanes.end * hd;
+        let [h1, c1, h2, c2, pre] = bank.blocks();
+        let g = 4 * hd;
+        for (lstm, h, c, layer) in [(&self.lstm1, h1, c1, 0), (&self.lstm2, h2, c2, 1)] {
+            lstm.recurrent_into(&h[at.clone()], pre, m);
+            let rows = pre.chunks_exact(g).zip(c[at.clone()].chunks_exact(hd));
+            for (prefix, (r, c)) in frozen.iter_mut().zip(rows) {
+                let (pr, pc) = match layer {
+                    0 => (&mut prefix.r1, &mut prefix.c1),
+                    _ => (&mut prefix.r2, &mut prefix.c2),
+                };
+                pr.copy_from_slice(r);
+                pc.copy_from_slice(c);
+            }
+        }
         Ok(())
     }
 
@@ -719,6 +964,12 @@ impl StreamingRegressor {
                 expected: per * self.config.input_dim,
             });
         }
+        self.check_lanes(bank, lanes)
+    }
+
+    /// Checks that `lanes` lies inside `bank` and the bank has this
+    /// engine's shape.
+    fn check_lanes(&self, bank: &StateBank, lanes: &Range<usize>) -> Result<(), PredictError> {
         if lanes.end > bank.lanes || bank.hidden != self.config.hidden {
             return Err(PredictError::LaneRange {
                 end: lanes.end,
@@ -729,19 +980,33 @@ impl StreamingRegressor {
     }
 
     /// One `m`-row double step of lanes `lanes` of `bank` (checked by the
-    /// caller): layer 1 consumes `x`, layer 2 the *updated* `h1`.
-    fn step_bank(&self, x: LayerInput<'_>, bank: &mut StateBank, lanes: Range<usize>) {
+    /// caller): layer 1 consumes `x`, layer 2 the *updated* `h1`. The
+    /// lanes step from their own state, or lane `i` from `frozen[i]`.
+    fn step_bank(
+        &self,
+        x: LayerInput<'_>,
+        frozen: Option<&[&FrozenPrefix]>,
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+    ) {
         let m = lanes.len();
         if m == 0 {
             return;
         }
+        let (rec1, rec2) = match frozen {
+            None => (Recurrent::State, Recurrent::State),
+            Some(prefixes) => (
+                Recurrent::Frozen { prefixes, layer: 0 },
+                Recurrent::Frozen { prefixes, layer: 1 },
+            ),
+        };
         let hd = self.config.hidden;
         let at = lanes.start * hd..lanes.end * hd;
         let [h1, c1, h2, c2, pre] = bank.blocks();
         let (h1, c1) = (&mut h1[at.clone()], &mut c1[at.clone()]);
-        self.lstm1.step(x, h1, c1, pre, m);
-        self.lstm2
-            .step(LayerInput::Lanes(h1), &mut h2[at.clone()], &mut c2[at], pre, m);
+        self.lstm1.step(x, rec1, h1, c1, pre, m);
+        let (h2, c2) = (&mut h2[at.clone()], &mut c2[at]);
+        self.lstm2.step(LayerInput::Lanes(h1), rec2, h2, c2, pre, m);
     }
 
     /// [`StreamingRegressor::finish_into`] from lane `lane` of `bank`.
@@ -862,8 +1127,8 @@ impl StreamingRegressor {
     /// loop.
     fn step_raw(&self, x: &[f64], state: &mut StreamState, pre: &mut [f64]) {
         let StreamState { h1, c1, h2, c2 } = state;
-        self.lstm1.step(LayerInput::Shared(x), h1, c1, pre, 1);
-        self.lstm2.step(LayerInput::Lanes(h1), h2, c2, pre, 1);
+        self.lstm1.step(LayerInput::Shared(x), Recurrent::State, h1, c1, pre, 1);
+        self.lstm2.step(LayerInput::Lanes(h1), Recurrent::State, h2, c2, pre, 1);
     }
 
     /// Dense stack + de-normalization of `m` lane rows: `h2` is
@@ -1019,10 +1284,13 @@ mod tests {
         let model = LstmRegressor::new(RegressorConfig::tiny(2, 1), 0);
         let engine = model.compile();
         let c = *engine.config();
-        // tiny: hidden 6, window 5, input 2.
+        // tiny: hidden 6, window 5, input 2. A session keeps its prefix
+        // frozen: two cell rows and two 4-gate accumulator rows.
         let expected_state = 4 * c.hidden * 8;
+        let expected_frozen = (2 * c.hidden + 8 * c.hidden) * 8;
         let expected_ring = (c.window - 1) * c.input_dim * 8;
-        assert_eq!(engine.session_state_bytes(), expected_state + expected_ring);
+        assert_eq!(engine.session_state_bytes(), expected_frozen + expected_ring);
+        assert_eq!(engine.zero_prefix().resident_bytes(), expected_frozen);
         assert_eq!(engine.state().resident_bytes(), expected_state);
         let scratch = engine.scratch();
         assert_eq!(
@@ -1082,6 +1350,68 @@ mod tests {
             engine.finish_lane_into(&bank, 5, &mut scratch, &mut a),
             Err(PredictError::LaneRange { end: 6, lanes: 5 })
         );
+    }
+
+    #[test]
+    fn frozen_steps_match_single_state_steps() {
+        // Lanes 0, 1, 2 of `bank` hold the states after 2, 1 and 0 rows;
+        // frozen (with the zero prefix as a fourth), each prefix steps its
+        // own row into lanes 1..5 of a second bank, against `step_normed`
+        // from the unfrozen state.
+        let model = trained_tiny();
+        let engine = model.compile();
+        let mut scratch = engine.scratch();
+        let mut bank = engine.bank(3);
+        let mut normed = vec![0.0; 2];
+        for (t, row) in window_for(&model, 1.9).iter().take(2).enumerate() {
+            engine.normalize_into(row, &mut normed).expect("dims");
+            engine.step_lanes(&normed, &mut bank, 0..t + 1).expect("in range");
+        }
+        let mut frozen = vec![engine.zero_prefix().clone(); 4];
+        engine.freeze_lanes(&mut bank, 0..3, &mut frozen[..3]).expect("in range");
+        let prefixes: Vec<&FrozenPrefix> = frozen.iter().collect();
+        let mut live = engine.bank(5);
+        let rows: Vec<f64> = (0..8).map(|i| (i as f64 * 0.7).sin()).collect();
+        engine.step_frozen(&rows, &prefixes, &mut live, 1..5).expect("in range");
+        let mut want = engine.state();
+        let mut got = engine.state();
+        let (mut a, mut b) = ([0.0], [0.0]);
+        for i in 0..4 {
+            match i {
+                3 => want.reset(),
+                _ => bank.store_lane(i, &mut want),
+            }
+            engine.step_normed(&rows[2 * i..2 * i + 2], &mut want, &mut scratch).expect("dims");
+            live.store_lane(1 + i, &mut got);
+            for (x, y) in got.parts().into_iter().zip(want.parts()) {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "lane {i}");
+            }
+            engine.finish_lane_into(&live, 1 + i, &mut scratch, &mut a).expect("in range");
+            engine.finish_into(&want, &mut scratch, &mut b).expect("dims");
+            assert_eq!(a[0].to_bits(), b[0].to_bits(), "lane {i}");
+        }
+        assert_eq!(
+            engine.step_frozen(&rows, &prefixes, &mut live, 2..6),
+            Err(PredictError::LaneRange { end: 6, lanes: 5 })
+        );
+        assert_eq!(
+            engine.step_frozen(&rows, &prefixes[..3], &mut live, 0..4),
+            Err(PredictError::LaneRange { end: 4, lanes: 3 })
+        );
+        assert_eq!(
+            engine.step_frozen(&rows[..6], &prefixes, &mut live, 0..4),
+            Err(PredictError::FeatureDim { step: 0, got: 6, expected: 8 })
+        );
+        assert_eq!(
+            engine.freeze_lanes(&mut bank, 0..2, &mut frozen[..1]),
+            Err(PredictError::LaneRange { end: 2, lanes: 1 })
+        );
+        // A prefix of another engine shape is refused both ways.
+        let config = RegressorConfig { hidden: 3, ..RegressorConfig::tiny(2, 1) };
+        let mut foreign = [LstmRegressor::new(config, 0).compile().zero_prefix().clone()];
+        assert!(engine.freeze_lanes(&mut bank, 0..1, &mut foreign).is_err());
+        assert!(engine.step_frozen(&rows[..2], &[&foreign[0]], &mut live, 0..1).is_err());
     }
 
     #[test]
