@@ -14,7 +14,9 @@ use std::collections::VecDeque;
 use pidpiper_missions::{HealthState, MissionError};
 use pidpiper_ml::{BatchScratch, BatchedStreamingRegressor, StreamingRegressor};
 
-use crate::session::{SessionParams, SessionSpec, ShardScratch, TickPrologue, VehicleSession};
+use crate::session::{
+    Replay, SessionParams, SessionSpec, ShardScratch, TickPrologue, VehicleSession,
+};
 
 /// Lane capacity of the per-shard batched working set: sessions tick
 /// through the lane-row step in chunks of this many lanes, which
@@ -29,9 +31,8 @@ pub(crate) const BATCH_WIDTH: usize = 64;
 /// `FleetEngine::bytes_per_session`.
 #[derive(Debug)]
 pub(crate) struct BatchState {
-    /// Lane states and frozen prefixes, each session's normalized live
-    /// row (kept in its lane for the ring push after the step) and the
-    /// dense stack's rows.
+    /// Lane states, each session's normalized live row (kept in its lane
+    /// for the ring push after the step) and the dense stack's rows.
     scratch: BatchScratch,
     /// Session indices that completed their prologue this chunk.
     lanes: Vec<usize>,
@@ -40,8 +41,9 @@ pub(crate) struct BatchState {
     /// `(session index, error)` pairs retired once the tick completes —
     /// deferred so batched lane numbering stays stable mid-tick.
     errored: Vec<(usize, MissionError)>,
-    /// Sessions owing a prefix replay this tick (decimation boundary).
-    replay: Vec<usize>,
+    /// Sessions owing a replay this tick (a push, or the pre-step on the
+    /// quiet tick after one), with the replay each owes.
+    replay: Vec<(usize, Replay)>,
 }
 
 impl BatchState {
@@ -62,7 +64,7 @@ impl BatchState {
             + self.lanes.capacity() * std::mem::size_of::<usize>()
             + self.pros.capacity() * std::mem::size_of::<TickPrologue>()
             + self.errored.capacity() * std::mem::size_of::<(usize, MissionError)>()
-            + self.replay.capacity() * std::mem::size_of::<usize>()
+            + self.replay.capacity() * std::mem::size_of::<(usize, Replay)>()
     }
 }
 
@@ -331,18 +333,21 @@ impl Shard {
     ///    the chunk's lanes.
     /// 3. **epilogue** — each lane's prediction feeds
     ///    [`VehicleSession::finish_tick`] (monitor, supervisor,
-    ///    fingerprint, decimated ring push) with the prefix replay
-    ///    *deferred*.
+    ///    fingerprint, decimated ring push), which returns the replay the
+    ///    session owes: the whole ring or its rest at a push, the first
+    ///    half of the next window's rows on the quiet tick after one.
     ///
-    /// Deferred replays are then grouped by ring row count (lanes in one
-    /// replay batch must step the same number of rows — sessions
-    /// mid-warmup or on a different decimation phase simply land in
-    /// different groups or different ticks), replayed a group chunk at a
-    /// time from the zero state, frozen with one recurrent GEMM pair per
-    /// chunk and copied back into each session's prefix. A group of one
-    /// is a one-lane step. Every f64 op matches
-    /// the per-session path, so fingerprints are bit-identical — the
-    /// fleet bench gates this (`batch_invariant`).
+    /// The owed replays are then grouped by kind (freeze or pre-step) and
+    /// row count (lanes in one replay batch must step the same number of
+    /// rows — sessions mid-warmup or on a different decimation phase
+    /// simply land in different groups or different ticks) and run a
+    /// group chunk at a time: each lane starts from its session's partial
+    /// or zero and reads its own ring rows. A push chunk ends with one
+    /// recurrent GEMM pair that freezes each lane straight into its
+    /// session's prefix; a pre-step chunk copies each lane into its
+    /// session's partial. A group of one is a one-lane step. Every f64 op
+    /// matches the per-session path, so fingerprints are bit-identical —
+    /// the fleet bench gates this (`batch_invariant`).
     fn tick_batched(
         &mut self,
         state: &mut BatchState,
@@ -393,8 +398,7 @@ impl Shard {
                     sessions[i].last_prediction()
                 };
                 let row = state.scratch.row(lane);
-                let (r, deferred) =
-                    sessions[i].finish_tick(engine, params, prediction, pro, row, None);
+                let (r, replay) = sessions[i].finish_tick(engine, params, prediction, pro, row);
                 stats.session_ticks += 1;
                 stats.tripped += u64::from(r.tripped);
                 stats.faulted += u64::from(r.fault_active);
@@ -403,39 +407,47 @@ impl Shard {
                     HealthState::Degraded => stats.degraded += 1,
                     HealthState::Nominal => {}
                 }
-                if deferred {
-                    state.replay.push(i);
+                if let Some(replay) = replay {
+                    state.replay.push((i, replay));
                 }
             }
             start = end;
         }
 
-        // Batched prefix replay, grouped by ring row count. The sort key
-        // is (rows, index): deterministic, and sessions keep their
+        // Batched replays, grouped by kind and row count. The sort key is
+        // (freeze, rows, index): deterministic, and sessions keep their
         // relative order inside a group.
-        state
-            .replay
-            .sort_unstable_by_key(|&i| (sessions[i].ring_rows(), i));
+        let key = |&(i, r): &(usize, Replay)| (r.freeze, r.rows, i);
+        state.replay.sort_unstable_by_key(key);
         let mut g = 0;
         while g < state.replay.len() {
-            let rows = sessions[state.replay[g]].ring_rows();
-            let mut group_end = g + 1;
-            while group_end < state.replay.len()
-                && sessions[state.replay[group_end]].ring_rows() == rows
-            {
-                group_end += 1;
-            }
+            let (_, first) = state.replay[g];
+            let group_end = g + state.replay[g..]
+                .iter()
+                .take_while(|(_, r)| (r.freeze, r.rows) == (first.freeze, first.rows))
+                .count();
             for lanes in state.replay[g..group_end].chunks(BATCH_WIDTH) {
                 state.scratch.reset_states();
-                for t in 0..rows {
-                    for (lane, &i) in lanes.iter().enumerate() {
-                        state.scratch.load_row(lane, sessions[i].ring_row(t, dim));
+                for (lane, &(i, r)) in lanes.iter().enumerate() {
+                    if let Some(partial) = sessions[i].partial().filter(|_| r.resume) {
+                        state.scratch.load_state(lane, partial);
+                    }
+                }
+                for t in 0..first.rows as usize {
+                    for (lane, &(i, r)) in lanes.iter().enumerate() {
+                        let row = r.ring_rows().start + t;
+                        state.scratch.load_row(lane, sessions[i].ring_row(row, dim));
                     }
                     batched.step_batch(&mut state.scratch, lanes.len());
                 }
-                batched.freeze_batch(&mut state.scratch, lanes.len());
-                for (lane, &i) in lanes.iter().enumerate() {
-                    state.scratch.store_frozen(lane, sessions[i].prefix_mut(engine));
+                if first.freeze {
+                    batched.freeze_batch(&mut state.scratch, lanes.len(), sessions, |s, lane| {
+                        s[lanes[lane].0].prefix_mut(engine)
+                    });
+                } else {
+                    for (lane, &(i, _)) in lanes.iter().enumerate() {
+                        state.scratch.store_state(lane, sessions[i].partial_mut(engine));
+                    }
                 }
             }
             g = group_end;

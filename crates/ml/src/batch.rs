@@ -1,7 +1,7 @@
 //! Lane-row batches: many sessions or windows of one model stepped
 //! together. A [`BatchScratch`] is a [`StateBank`] of `width` lanes plus
-//! `[width x input_dim]` input rows, the dense stack's row buffers and
-//! `width` [`FrozenPrefix`] slots; [`BatchedStreamingRegressor`] borrows
+//! `[width x input_dim]` input rows and the dense stack's row buffers;
+//! [`BatchedStreamingRegressor`] borrows
 //! a compiled [`StreamingRegressor`] and steps a range of lanes as the
 //! rows of one GEMM per gate block over its k-major weights
 //! ([`StreamingRegressor::step_lane_rows`]), then the dense stack over the
@@ -9,8 +9,8 @@
 //! (`FfcModel::replay`) run their inference through it. The fleet's live
 //! lanes step from their sessions' frozen prefixes instead, read in place
 //! ([`BatchedStreamingRegressor::step_frozen_batch`]), and its ring
-//! replays freeze their lanes into the slots for the next live steps
-//! ([`BatchedStreamingRegressor::freeze_batch`]).
+//! replays freeze their lanes straight into the sessions' prefixes for
+//! the next live steps ([`BatchedStreamingRegressor::freeze_batch`]).
 //!
 //! Each lane is its own row of every GEMM, summed in ascending `k` with the
 //! `(bias + w·x) + u·h` reduction of the streaming step, so a lane steps to
@@ -37,9 +37,6 @@ fn lane_at(len: usize, width: usize, lane: usize) -> Range<usize> {
 pub struct BatchScratch {
     /// LSTM states and gate panel.
     bank: StateBank,
-    /// Each lane's prefix as [`BatchedStreamingRegressor::freeze_batch`]
-    /// froze it.
-    frozen: Vec<FrozenPrefix>,
     /// Normalized input rows (`[width x input_dim]`).
     x: Vec<f64>,
     /// Dense ping-pong rows (`fc_width` each), then normalized and
@@ -59,9 +56,7 @@ impl BatchScratch {
     /// Heap bytes held by this scratch.
     pub fn resident_bytes(&self) -> usize {
         let rows = self.x.len() + self.fc_a.len() + self.fc_b.len() + self.z.len() + self.out.len();
-        self.bank.resident_bytes()
-            + self.frozen.iter().map(FrozenPrefix::resident_bytes).sum::<usize>()
-            + rows * std::mem::size_of::<f64>()
+        self.bank.resident_bytes() + rows * std::mem::size_of::<f64>()
     }
 
     /// Zeroes every lane's LSTM state (the start of a window).
@@ -93,12 +88,6 @@ impl BatchScratch {
     /// Copies `lane`'s LSTM state out into `state` (four row copies).
     pub fn store_state(&self, lane: usize, state: &mut StreamState) {
         self.bank.store_lane(lane, state);
-    }
-
-    /// Copies the prefix `lane` last froze out into `prefix` (four row
-    /// copies).
-    pub fn store_frozen(&self, lane: usize, prefix: &mut FrozenPrefix) {
-        prefix.copy_from(&self.frozen[lane]);
     }
 
     /// Overwrites lane `dst`'s LSTM state with lane `src`'s.
@@ -152,7 +141,6 @@ impl<'a> BatchedStreamingRegressor<'a> {
         let c = self.engine.config();
         BatchScratch {
             bank: self.engine.bank(width),
-            frozen: vec![self.engine.zero_prefix().clone(); width],
             x: vec![0.0; width * c.input_dim],
             fc_a: vec![0.0; width * c.fc_width],
             fc_b: vec![0.0; width * c.fc_width],
@@ -194,12 +182,20 @@ impl<'a> BatchedStreamingRegressor<'a> {
         assert!(stepped.is_ok(), "frozen step refused: {stepped:?}");
     }
 
-    /// Freezes the LSTM states of lanes `0..n` into their prefix slots
-    /// ([`StreamingRegressor::freeze_lanes`]; one recurrent GEMM pair for
-    /// all `n`), to read back with [`BatchScratch::store_frozen`].
-    pub fn freeze_batch(&self, scratch: &mut BatchScratch, n: usize) {
-        let BatchScratch { bank, frozen, .. } = scratch;
-        let stored = self.engine.freeze_lanes(bank, 0..n, &mut frozen[..n]);
+    /// Freezes the LSTM states of lanes `0..n` straight into the
+    /// prefixes `prefix(owner, lane)` picks
+    /// ([`StreamingRegressor::freeze_lanes_with`]; one recurrent GEMM
+    /// pair for all `n`).
+    pub fn freeze_batch<C: ?Sized>(
+        &self,
+        scratch: &mut BatchScratch,
+        n: usize,
+        owner: &mut C,
+        prefix: impl FnMut(&mut C, usize) -> &mut FrozenPrefix,
+    ) {
+        let stored = self
+            .engine
+            .freeze_lanes_with(&mut scratch.bank, 0..n, owner, prefix);
         assert!(stored.is_ok(), "freeze refused: {stored:?}");
     }
 

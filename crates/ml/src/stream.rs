@@ -387,31 +387,25 @@ impl CompiledDense {
 ///
 /// Separate from [`InferenceScratch`] so callers can keep *several*
 /// states per engine (the FFC checkpoints the state after its history
-/// rows and copies it into a working state each tick) while sharing one
-/// scratch.
+/// rows and copies it into a working state each tick; a fleet session
+/// keeps its next window's partial state between ticks) while sharing
+/// one scratch. The four rows share one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamState {
-    pub(crate) h1: Vec<f64>,
-    pub(crate) c1: Vec<f64>,
-    pub(crate) h2: Vec<f64>,
-    pub(crate) c2: Vec<f64>,
+    /// `[h1 | c1 | h2 | c2]`, `hidden` values each.
+    buf: Box<[f64]>,
 }
 
 impl StreamState {
     fn zeros(hidden: usize) -> Self {
         StreamState {
-            h1: vec![0.0; hidden],
-            c1: vec![0.0; hidden],
-            h2: vec![0.0; hidden],
-            c2: vec![0.0; hidden],
+            buf: vec![0.0; 4 * hidden].into_boxed_slice(),
         }
     }
 
     /// Resets to the zero state (start of a window).
     pub fn reset(&mut self) {
-        for v in [&mut self.h1, &mut self.c1, &mut self.h2, &mut self.c2] {
-            v.fill(0.0);
-        }
+        self.buf.fill(0.0);
     }
 
     /// Overwrites this state with `other` without allocating.
@@ -420,23 +414,32 @@ impl StreamState {
     ///
     /// Panics if the states belong to differently-sized engines.
     pub fn copy_from(&mut self, other: &StreamState) {
-        self.h1.copy_from_slice(&other.h1);
-        self.c1.copy_from_slice(&other.c1);
-        self.h2.copy_from_slice(&other.h2);
-        self.c2.copy_from_slice(&other.c2);
+        self.buf.copy_from_slice(&other.buf);
     }
 
     /// Heap bytes held by this state: the four hidden-sized `f64`
-    /// vectors (`4 * hidden * 8`).
+    /// rows (`4 * hidden * 8`).
     pub fn resident_bytes(&self) -> usize {
-        (self.h1.len() + self.c1.len() + self.h2.len() + self.c2.len())
-            * std::mem::size_of::<f64>()
+        self.buf.len() * std::mem::size_of::<f64>()
     }
 
     /// The state rows `[h1, c1, h2, c2]`, for callers that compare
     /// states bit for bit.
     pub fn parts(&self) -> [&[f64]; 4] {
-        [&self.h1, &self.c1, &self.h2, &self.c2]
+        let hd = self.buf.len() / 4;
+        let (h1, rest) = self.buf.split_at(hd);
+        let (c1, rest) = rest.split_at(hd);
+        let (h2, c2) = rest.split_at(hd);
+        [h1, c1, h2, c2]
+    }
+
+    /// [`StreamState::parts`], mutable.
+    fn parts_mut(&mut self) -> [&mut [f64]; 4] {
+        let hd = self.buf.len() / 4;
+        let (h1, rest) = self.buf.split_at_mut(hd);
+        let (c1, rest) = rest.split_at_mut(hd);
+        let (h2, c2) = rest.split_at_mut(hd);
+        [h1, c1, h2, c2]
     }
 }
 
@@ -558,8 +561,7 @@ impl StateBank {
     /// Panics if `lane` is out of range or `state` belongs to another
     /// engine shape.
     pub fn store_lane(&self, lane: usize, state: &mut StreamState) {
-        let StreamState { h1, c1, h2, c2 } = state;
-        for (b, v) in [h1, c1, h2, c2].into_iter().enumerate() {
+        for (b, v) in state.parts_mut().into_iter().enumerate() {
             v.copy_from_slice(self.rows(b, lane..lane + 1));
         }
     }
@@ -574,19 +576,25 @@ impl StateBank {
 /// `r2 = Σ u·h2` (module docs), `10 * hidden` values in all; its `h`
 /// rows are not needed again. Start from
 /// [`StreamingRegressor::zero_prefix`] (the frozen zero state), fill with
-/// [`StreamingRegressor::freeze_lanes`], step from with
+/// [`StreamingRegressor::freeze_lanes`] or
+/// [`StreamingRegressor::freeze_lanes_with`], step from with
 /// [`StreamingRegressor::step_frozen`].
 #[derive(Debug, Clone)]
 pub struct FrozenPrefix {
     /// Both layers' cells (`hidden` each).
-    c1: Vec<f64>,
-    c2: Vec<f64>,
+    c1: Box<[f64]>,
+    c2: Box<[f64]>,
     /// Both layers' stored `Σ u·h` (`4*hidden` each).
-    r1: Vec<f64>,
-    r2: Vec<f64>,
+    r1: Box<[f64]>,
+    r2: Box<[f64]>,
 }
 
 impl FrozenPrefix {
+    /// The hidden size of the engine this prefix belongs to.
+    fn hidden(&self) -> usize {
+        self.c1.len()
+    }
+
     /// Layer `layer`'s (0 or 1) accumulators and cells.
     fn layer(&self, layer: usize) -> (&[f64], &[f64]) {
         match layer {
@@ -595,10 +603,23 @@ impl FrozenPrefix {
         }
     }
 
+    /// [`FrozenPrefix::layer`], mutable.
+    fn layer_mut(&mut self, layer: usize) -> (&mut [f64], &mut [f64]) {
+        match layer {
+            0 => (&mut self.r1, &mut self.c1),
+            _ => (&mut self.r2, &mut self.c2),
+        }
+    }
+
+    /// The rows `[c1, r1, c2, r2]`, for callers that compare prefixes
+    /// bit for bit.
+    pub fn parts(&self) -> [&[f64]; 4] {
+        [&self.c1, &self.r1, &self.c2, &self.r2]
+    }
+
     /// Heap bytes held: `10 * hidden` values.
     pub fn resident_bytes(&self) -> usize {
-        (self.c1.len() + self.c2.len() + self.r1.len() + self.r2.len())
-            * std::mem::size_of::<f64>()
+        self.parts().iter().map(|p| p.len()).sum::<usize>() * std::mem::size_of::<f64>()
     }
 
     /// Overwrites this prefix with `other` without allocating.
@@ -709,10 +730,10 @@ impl StreamingRegressor {
         lstm1.recurrent_into(&zeros, &mut r1, 1);
         lstm2.recurrent_into(&zeros, &mut r2, 1);
         let zero_prefix = FrozenPrefix {
-            c1: zeros.clone(),
-            c2: zeros,
-            r1,
-            r2,
+            c1: zeros.clone().into_boxed_slice(),
+            c2: zeros.into_boxed_slice(),
+            r1: r1.into_boxed_slice(),
+            r2: r2.into_boxed_slice(),
         };
         StreamingRegressor {
             config: *model.config(),
@@ -758,20 +779,23 @@ impl StreamingRegressor {
     /// Bytes a long-lived fleet session must keep *resident between
     /// ticks* to stream this engine: its prefix as a
     /// [`FrozenPrefix`] (`2 * hidden` cells plus `8 * hidden`
-    /// accumulators, f64s) plus a normalized history ring of `window - 1`
-    /// feature rows (`(window - 1) * input_dim` f64s). This sizes the
-    /// fleet's ring session, not the single-vehicle FFC, which keeps a
-    /// [`StateBank`] of partial windows instead of a ring.
+    /// accumulators, f64s), the partial state of its next window as a
+    /// [`StreamState`] (`4 * hidden` f64s, stepped on the quiet tick after
+    /// a push so the push steps only the rest), plus a normalized history
+    /// ring of `window - 1` feature rows (`(window - 1) * input_dim`
+    /// f64s). This sizes the fleet's ring session, not the single-vehicle
+    /// FFC, which keeps a [`StateBank`] of partial windows instead of a
+    /// ring.
     ///
     /// Engine weights and the [`InferenceScratch`] are shared across any
     /// number of sessions and are deliberately excluded — this is the
     /// marginal cost of one more session, the number fleet capacity
     /// planning multiplies by the session count (see `OPERATIONS.md`).
     pub fn session_state_bytes(&self) -> usize {
-        let state = 10 * self.config.hidden * std::mem::size_of::<f64>();
-        let ring =
-            (self.config.window - 1) * self.config.input_dim * std::mem::size_of::<f64>();
-        state + ring
+        let f64s = 10 * self.config.hidden
+            + 4 * self.config.hidden
+            + (self.config.window - 1) * self.config.input_dim;
+        f64s * std::mem::size_of::<f64>()
     }
 
     /// Standardizes one raw feature row into `out` without allocating.
@@ -896,7 +920,7 @@ impl StreamingRegressor {
     ) -> Result<(), PredictError> {
         self.check_step(rows.len(), lanes.len(), bank, &lanes)?;
         let hd = self.config.hidden;
-        if prefixes.len() != lanes.len() || prefixes.iter().any(|p| p.c1.len() != hd) {
+        if prefixes.len() != lanes.len() || prefixes.iter().any(|p| p.hidden() != hd) {
             return Err(PredictError::LaneRange {
                 end: lanes.end,
                 lanes: prefixes.len(),
@@ -907,40 +931,66 @@ impl StreamingRegressor {
     }
 
     /// Freezes lanes `lanes` of `bank` into `frozen[i]` for lane
-    /// `lanes.start + i`: copies the cells and computes both layers'
-    /// `Σ u·h`, one recurrent GEMM pair for all `m = lanes.len()` lanes,
-    /// through the bank's gate panel. The lanes' states are untouched.
+    /// `lanes.start + i`: [`StreamingRegressor::freeze_lanes_with`] over
+    /// a slice of prefixes.
     ///
     /// # Errors
     ///
     /// Returns [`PredictError::LaneRange`] if the range runs past the
-    /// bank or `frozen` is not `m` prefixes of this engine's shape.
+    /// bank or `frozen` is not `m = lanes.len()` prefixes of this
+    /// engine's shape.
     pub fn freeze_lanes(
         &self,
         bank: &mut StateBank,
         lanes: Range<usize>,
         frozen: &mut [FrozenPrefix],
     ) -> Result<(), PredictError> {
-        self.check_lanes(bank, &lanes)?;
-        let hd = self.config.hidden;
-        if frozen.len() != lanes.len() || frozen.iter().any(|p| p.c1.len() != hd) {
+        if frozen.len() != lanes.len() {
             return Err(PredictError::LaneRange {
                 end: lanes.end,
                 lanes: frozen.len(),
             });
         }
-        let m = lanes.len();
+        self.freeze_lanes_with(bank, lanes, frozen, |f, i| &mut f[i])
+    }
+
+    /// Freezes lanes `lanes` of `bank` into the prefixes `prefix(owner, i)`
+    /// picks for lane `lanes.start + i`, wherever they lie (a fleet
+    /// session's own, say): copies the cells and computes both layers'
+    /// `Σ u·h`, one recurrent GEMM pair for all `m = lanes.len()` lanes,
+    /// through the bank's gate panel, so each prefix is written once,
+    /// straight from the panel. `prefix` is called once per lane to check
+    /// the shapes, then once per lane and layer to write. The lanes'
+    /// states are untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictError::LaneRange`] if the range runs past the
+    /// bank or a picked prefix has another engine's shape; nothing is
+    /// written then.
+    pub fn freeze_lanes_with<C: ?Sized>(
+        &self,
+        bank: &mut StateBank,
+        lanes: Range<usize>,
+        owner: &mut C,
+        mut prefix: impl FnMut(&mut C, usize) -> &mut FrozenPrefix,
+    ) -> Result<(), PredictError> {
+        self.check_lanes(bank, &lanes)?;
+        let (hd, m) = (self.config.hidden, lanes.len());
+        if (0..m).any(|i| prefix(owner, i).hidden() != hd) {
+            return Err(PredictError::LaneRange {
+                end: lanes.end,
+                lanes: m,
+            });
+        }
         let at = lanes.start * hd..lanes.end * hd;
         let [h1, c1, h2, c2, pre] = bank.blocks();
         let g = 4 * hd;
         for (lstm, h, c, layer) in [(&self.lstm1, h1, c1, 0), (&self.lstm2, h2, c2, 1)] {
             lstm.recurrent_into(&h[at.clone()], pre, m);
             let rows = pre.chunks_exact(g).zip(c[at.clone()].chunks_exact(hd));
-            for (prefix, (r, c)) in frozen.iter_mut().zip(rows) {
-                let (pr, pc) = match layer {
-                    0 => (&mut prefix.r1, &mut prefix.c1),
-                    _ => (&mut prefix.r2, &mut prefix.c2),
-                };
+            for (i, (r, c)) in rows.enumerate() {
+                let (pr, pc) = prefix(owner, i).layer_mut(layer);
                 pr.copy_from_slice(r);
                 pc.copy_from_slice(c);
             }
@@ -1044,7 +1094,7 @@ impl StreamingRegressor {
         scratch: &mut InferenceScratch,
         out: &mut [f64],
     ) -> Result<(), PredictError> {
-        self.finish_checked(&state.h2, scratch, out)
+        self.finish_checked(state.parts()[2], scratch, out)
     }
 
     /// The dense stack from layer 2's `h`, after checking `out`.
@@ -1117,7 +1167,7 @@ impl StreamingRegressor {
             self.normalizer.transform_into(row, normed);
             self.step_raw(normed, state, pre);
         }
-        self.finish_rows(&state.h2, fc_a, fc_b, z, out, 1);
+        self.finish_rows(state.parts()[2], fc_a, fc_b, z, out, 1);
         Ok(())
     }
 
@@ -1126,7 +1176,7 @@ impl StreamingRegressor {
     /// consumes the *updated* `h1` — the same ordering as the reference
     /// loop.
     fn step_raw(&self, x: &[f64], state: &mut StreamState, pre: &mut [f64]) {
-        let StreamState { h1, c1, h2, c2 } = state;
+        let [h1, c1, h2, c2] = state.parts_mut();
         self.lstm1.step(LayerInput::Shared(x), Recurrent::State, h1, c1, pre, 1);
         self.lstm2.step(LayerInput::Lanes(h1), Recurrent::State, h2, c2, pre, 1);
     }
@@ -1285,11 +1335,15 @@ mod tests {
         let engine = model.compile();
         let c = *engine.config();
         // tiny: hidden 6, window 5, input 2. A session keeps its prefix
-        // frozen: two cell rows and two 4-gate accumulator rows.
+        // frozen (two cell rows and two 4-gate accumulator rows) and its
+        // next window's partial state.
         let expected_state = 4 * c.hidden * 8;
         let expected_frozen = (2 * c.hidden + 8 * c.hidden) * 8;
         let expected_ring = (c.window - 1) * c.input_dim * 8;
-        assert_eq!(engine.session_state_bytes(), expected_frozen + expected_ring);
+        assert_eq!(
+            engine.session_state_bytes(),
+            expected_frozen + expected_state + expected_ring
+        );
         assert_eq!(engine.zero_prefix().resident_bytes(), expected_frozen);
         assert_eq!(engine.state().resident_bytes(), expected_state);
         let scratch = engine.scratch();
@@ -1311,13 +1365,8 @@ mod tests {
         let mut states: Vec<StreamState> = (0..5).map(|_| engine.state()).collect();
         let mut normed = vec![0.0; 2];
         let lane = |bank: &StateBank, j: usize| {
-            let block = |b: usize| bank.buf[bank.at(b, j)..bank.at(b, j) + 6].to_vec();
-            StreamState {
-                h1: block(0),
-                c1: block(1),
-                h2: block(2),
-                c2: block(3),
-            }
+            let buf = (0..4).flat_map(|b| bank.buf[bank.at(b, j)..bank.at(b, j) + 6].to_vec());
+            StreamState { buf: buf.collect::<Vec<_>>().into_boxed_slice() }
         };
         for (t, row) in window_for(&model, 0.7).iter().enumerate() {
             engine.normalize_into(row, &mut normed).expect("dims");
