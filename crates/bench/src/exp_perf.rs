@@ -14,10 +14,15 @@
 //! into `target/experiments/`) with the schema
 //! `{bench, config, ns_per_iter, ticks_per_sec, speedup_vs_baseline}`
 //! plus the baseline latency and the measured allocation count.
-//! `push_tick_ns` and `plain_tick_ns` split the streaming tick by kind:
-//! the timed loop reads the clock after every tick and averages the
-//! decimated push ticks (which step every partial window of the FFC's
-//! prefix bank) apart from the plain ticks (one live-lane step). The
+//! `push_tick_ns`, `owed_tick_ns` and `plain_tick_ns` split the
+//! streaming tick by kind: the timed loop reads the clock after every
+//! tick and averages the decimated push ticks (which step half of the
+//! FFC's prefix bank and freeze the prefix they complete), the first
+//! quiet tick after each push (which steps the other half with the
+//! push's row) and the other, plain ticks (one live-lane step) apart.
+//! `push_over_plain` and `owed_over_plain` divide the first two by the
+//! plain tick's mean from the same loop, so two builds can be compared
+//! through ratios that one process measured. The
 //! `pidpiper-bench-perf` binary runs this with a counting global
 //! allocator and fails if the streaming loop allocates at all.
 //!
@@ -111,8 +116,15 @@ pub struct PerfReport {
     pub ns_per_iter: f64,
     /// Mean latency of the streaming path's decimated push ticks, ns.
     pub push_tick_ns: f64,
+    /// Mean latency of the first quiet tick after each push, which steps
+    /// the lanes the push owes, ns.
+    pub owed_tick_ns: f64,
     /// Mean latency of the streaming path's other (plain) ticks, ns.
     pub plain_tick_ns: f64,
+    /// `push_tick_ns / plain_tick_ns`, both from the same timed loop.
+    pub push_over_plain: f64,
+    /// `owed_tick_ns / plain_tick_ns`, both from the same timed loop.
+    pub owed_over_plain: f64,
     /// Seed-path latency, nanoseconds per tick.
     pub baseline_ns_per_iter: f64,
     /// Streaming-path throughput, `observe` ticks per second.
@@ -463,14 +475,16 @@ struct TickTimes {
     all: f64,
     /// Mean ns of the decimated push ticks.
     push: f64,
+    /// Mean ns of the first quiet tick after each push.
+    owed: f64,
     /// Mean ns of the other (plain) ticks.
     plain: f64,
 }
 
 /// Times each `observe` tick of `prims` on its own (one clock read per
 /// tick). `first_tick` is the number of ticks `model` has observed since
-/// its last reset, so tick `first_tick + i` pushes when it is a multiple
-/// of `decimate`.
+/// its last reset, so tick `first_tick + i` is a push, an owed tick or a
+/// plain one as the model's [`FfcModel::schedule`] says.
 fn time_ticks(
     model: &mut FfcModel,
     prims: &[SensorPrimitives],
@@ -478,15 +492,18 @@ fn time_ticks(
     phase: FlightPhase,
     first_tick: usize,
 ) -> TickTimes {
-    let decimate = model.pipeline().decimate;
+    let schedule = model.schedule();
     // (total ns, ticks) of each kind.
-    let (mut push, mut plain) = ((0u128, 0usize), (0u128, 0usize));
+    let (mut push, mut owed, mut plain) = ((0u128, 0usize), (0u128, 0usize), (0u128, 0usize));
     let mut prev = Instant::now();
     for (i, p) in prims.iter().enumerate() {
         black_box(model.observe(p, target, phase));
         let now = Instant::now();
-        let kind = if (first_tick + i).is_multiple_of(decimate) {
+        let tick = first_tick + i;
+        let kind = if schedule.is_push(tick) {
             &mut push
+        } else if schedule.is_owed(tick) {
+            &mut owed
         } else {
             &mut plain
         };
@@ -496,8 +513,9 @@ fn time_ticks(
     }
     let mean = |(ns, n): (u128, usize)| ns as f64 / n.max(1) as f64;
     TickTimes {
-        all: mean((push.0 + plain.0, push.1 + plain.1)),
+        all: mean((push.0 + owed.0 + plain.0, push.1 + owed.1 + plain.1)),
         push: mean(push),
+        owed: mean(owed),
         plain: mean(plain),
     }
 }
@@ -702,8 +720,8 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
     let (gate_prims, target) = synthetic_inputs((window * decimate * 3).max(300));
     assert_paths_agree(&mut streaming, &mut seed, &gate_prims, &target);
 
-    // At least one decimation period, so both tick kinds are timed.
-    let ticks = cfg.ticks.max(decimate);
+    // At least two decimation periods, so every tick kind is timed.
+    let ticks = cfg.ticks.max(2 * decimate);
     let (prims, target) = synthetic_inputs(cfg.warmup + ticks);
     let phase = FlightPhase::Cruise { wp_index: 0 };
 
@@ -743,7 +761,10 @@ pub fn run_perf(cfg: &PerfConfig, alloc_count: Option<&dyn Fn() -> u64>) -> Perf
         ticks,
         ns_per_iter: ns,
         push_tick_ns: times.push,
+        owed_tick_ns: times.owed,
         plain_tick_ns: times.plain,
+        push_over_plain: times.push / times.plain.max(f64::MIN_POSITIVE),
+        owed_over_plain: times.owed / times.plain.max(f64::MIN_POSITIVE),
         baseline_ns_per_iter: baseline_ns,
         ticks_per_sec: 1e9 / ns.max(f64::MIN_POSITIVE),
         speedup_vs_baseline: baseline_ns / ns.max(f64::MIN_POSITIVE),
@@ -777,7 +798,10 @@ impl PerfReport {
         json::require_positive(&[
             ("ns_per_iter", self.ns_per_iter),
             ("push_tick_ns", self.push_tick_ns),
+            ("owed_tick_ns", self.owed_tick_ns),
             ("plain_tick_ns", self.plain_tick_ns),
+            ("push_over_plain", self.push_over_plain),
+            ("owed_over_plain", self.owed_over_plain),
             ("baseline_ns_per_iter", self.baseline_ns_per_iter),
             ("ticks_per_sec", self.ticks_per_sec),
             ("speedup_vs_baseline", self.speedup_vs_baseline),
@@ -833,7 +857,10 @@ pub fn to_json(r: &PerfReport) -> String {
         },
         "ns_per_iter" => Json::fixed(r.ns_per_iter, 1),
         "push_tick_ns" => Json::fixed(r.push_tick_ns, 1),
+        "owed_tick_ns" => Json::fixed(r.owed_tick_ns, 1),
         "plain_tick_ns" => Json::fixed(r.plain_tick_ns, 1),
+        "push_over_plain" => Json::fixed(r.push_over_plain, 2),
+        "owed_over_plain" => Json::fixed(r.owed_over_plain, 2),
         "baseline_ns_per_iter" => Json::fixed(r.baseline_ns_per_iter, 1),
         "ticks_per_sec" => Json::fixed(r.ticks_per_sec, 1),
         "speedup_vs_baseline" => Json::fixed(r.speedup_vs_baseline, 2),
@@ -861,11 +888,15 @@ pub fn to_json(r: &PerfReport) -> String {
 pub fn write_report(r: &PerfReport) -> io::Result<()> {
     json::write_bench_report("BENCH_inference.json", &to_json(r))?;
     println!(
-        "exp_perf: streaming {:.0} ns/tick ({:.0} ticks/s; push ticks {:.0} ns, plain ticks \
-         {:.0} ns), seed {:.0} ns/tick — {:.2}x; allocations/tick: {}",
+        "exp_perf: streaming {:.0} ns/tick ({:.0} ticks/s; push ticks {:.0} ns ({:.2}x plain), \
+         owed ticks {:.0} ns ({:.2}x plain), plain ticks {:.0} ns), seed {:.0} ns/tick — \
+         {:.2}x; allocations/tick: {}",
         r.ns_per_iter,
         r.ticks_per_sec,
         r.push_tick_ns,
+        r.push_over_plain,
+        r.owed_tick_ns,
+        r.owed_over_plain,
         r.plain_tick_ns,
         r.baseline_ns_per_iter,
         r.speedup_vs_baseline,
@@ -969,7 +1000,10 @@ mod tests {
             ticks: 2000,
             ns_per_iter: 512.345,
             push_tick_ns: 1800.24,
+            owed_tick_ns: 1650.46,
             plain_tick_ns: 190.04,
+            push_over_plain: 9.4729,
+            owed_over_plain: 8.6848,
             baseline_ns_per_iter: 10250.96,
             ticks_per_sec: 1951814.25,
             speedup_vs_baseline: 20.0078,
@@ -997,9 +1031,11 @@ mod tests {
     #[test]
     fn json_matches_the_golden_rendering() {
         // Captured with the `f32` block, which was then cut from the file
-        // by hand; the `calibration` block and each point's
-        // `frozen_ns_per_vehicle_tick` line were written in by hand from
-        // `fixed_report`'s values. Every other byte is as captured.
+        // by hand; the `calibration` block, each point's
+        // `frozen_ns_per_vehicle_tick` line and the `owed_tick_ns`,
+        // `push_over_plain` and `owed_over_plain` lines were written in
+        // by hand from `fixed_report`'s values. Every other byte is as
+        // captured.
         let golden = json::minify(include_str!("../tests/golden/BENCH_inference.json"));
         let mut r = fixed_report();
         assert_eq!(json::minify(&to_json(&r)), golden);
@@ -1015,12 +1051,15 @@ mod tests {
     fn check_rejects_each_violated_property() {
         assert_eq!(fixed_report().check(), Ok(()));
         type Breaker = fn(&mut PerfReport);
-        let cases: [(&str, Breaker); 16] = [
+        let cases: [(&str, Breaker); 19] = [
             ("hidden is 0", |r| r.config.hidden = 0),
             ("ticks is 0", |r| r.ticks = 0),
             ("ns_per_iter", |r| r.ns_per_iter = 0.0),
             ("push_tick_ns", |r| r.push_tick_ns = f64::NAN),
+            ("owed_tick_ns", |r| r.owed_tick_ns = 0.0),
             ("plain_tick_ns", |r| r.plain_tick_ns = -1.0),
+            ("push_over_plain", |r| r.push_over_plain = f64::INFINITY),
+            ("owed_over_plain", |r| r.owed_over_plain = f64::NAN),
             ("speedup_vs_baseline", |r| r.speedup_vs_baseline = f64::NAN),
             ("scalar_ns_per_vehicle_tick", |r| {
                 r.batched.scalar_ns_per_vehicle_tick = -1.0

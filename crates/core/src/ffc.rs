@@ -8,7 +8,7 @@
 //! control step at a time, over a bank of partial windows) and its
 //! offline twin for threshold calibration ([`FfcModel::replay`], whole
 //! traces through the batched engine). Both follow the window and
-//! decimation rules written down here.
+//! decimation rule of the model's [`WindowSchedule`].
 
 use crate::features::{assemble_into, FeatureSet, SensorPrimitives};
 use crate::gate::GateConfig;
@@ -16,7 +16,7 @@ use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
     BatchScratch, BatchedStreamingRegressor, FrozenPrefix, InferenceScratch, LstmRegressor,
-    RegressorConfig, StateBank, StreamingRegressor,
+    RegressorConfig, StateBank, StreamingRegressor, WindowSchedule,
 };
 
 /// Lanes per batched replay chunk, prefixes and ticks alike: the fleet's
@@ -60,9 +60,8 @@ impl Default for PipelineConfig {
 /// - the window's history is never stored as rows. With
 ///   `cap = window - 1`, `bank` holds `cap` *partial windows*: after a
 ///   push, the lane restarted `j` pushes ago holds the LSTM state after
-///   the last `j` sampled rows, stepped from zero. Each sampled row is
-///   normalized once and stepped into every lane at once, as one
-///   `m`-row LSTM step;
+///   the last `j + 1` sampled rows, stepped from zero. Each sampled row is
+///   normalized once and stepped into the lanes as `m`-row LSTM steps;
 /// - the lane holding all `cap` rows is the *prefix*: the state after the
 ///   whole history, oldest row first. The next push restarts it from
 ///   zero, so every lane reaches `cap` rows once per `cap` pushes;
@@ -70,11 +69,20 @@ impl Default for PipelineConfig {
 ///   [`FrozenPrefix`]: its cells and both layers' `Σ u·h`), since the
 ///   prefix does not change until the next push;
 /// - the bank's last lane is the *live* lane: each tick steps this
-///   tick's row into it from the prefix, then runs the dense stack. A
-///   plain tick steps from the frozen prefix, two GEMMs instead of four.
-///   On a push tick the live lane starts from a copy of the prefix lane
-///   and is one more row of the push's step, since both read the same
-///   row;
+///   tick's row into it from the frozen prefix, two GEMMs instead of
+///   four, then runs the dense stack. A push tick does the same, from
+///   the prefix frozen at the push before, before it freezes the next;
+/// - a push is split across two ticks ([`WindowSchedule::bank_push`]):
+///   it steps the half of the bank holding the lane that completes the
+///   next prefix, freezes that lane, and keeps its normalized row; the
+///   first quiet tick after it steps the other half with that row, then
+///   runs its own live step. Each lane takes the same rows in the same
+///   order, so every prediction keeps its bits. At `decimate = 1` there
+///   is no quiet tick and the push steps the whole bank. The split is
+///   two-way, so at the deployed decimation 5 two ticks in five are
+///   heavy and the median tick is still a plain one. The schedule is a
+///   function of `step_counter` alone: `reset` drops any owed lanes and
+///   a clone taken before the owed tick carries them;
 /// - all buffers are preallocated in [`FfcModel::new`]: after the first
 ///   `observe` call, the per-tick path performs zero heap allocation
 ///   (asserted by the `observe_allocations` test and the `exp_perf`
@@ -85,19 +93,19 @@ pub struct FfcModel {
     engine: StreamingRegressor,
     feature_set: FeatureSet,
     pipeline: PipelineConfig,
+    /// The window and decimation rule, read at `step_counter`.
+    schedule: WindowSchedule,
     /// `window - 1` partial-window lanes, then the live lane.
     bank: StateBank,
-    /// The lane the next push restarts: the prefix once the history is
-    /// full.
-    head: usize,
-    /// Pushes so far, saturating at `window - 1` (the history is full).
-    pushes: usize,
     /// The current prefix, frozen at the push that completed it (the
     /// zero state while `window == 1`).
     frozen: FrozenPrefix,
     scratch: InferenceScratch,
     feat_buf: Vec<f64>,
     normed_buf: Vec<f64>,
+    /// The last push's normalized row, for the lanes it owes the next
+    /// tick.
+    owed_row: Vec<f64>,
     out_buf: Vec<f64>,
     step_counter: usize,
     last_prediction: Option<ActuatorSignal>,
@@ -129,14 +137,15 @@ impl FfcModel {
         );
         let engine = regressor.compile();
         let dim = feature_set.dim();
+        let window = regressor.config().window;
         FfcModel {
-            bank: engine.bank(regressor.config().window),
-            head: 0,
-            pushes: 0,
+            schedule: WindowSchedule::new(window, pipeline.decimate),
+            bank: engine.bank(window),
             frozen: engine.zero_prefix().clone(),
             scratch: engine.scratch(),
             feat_buf: Vec::with_capacity(dim),
             normed_buf: vec![0.0; dim],
+            owed_row: vec![0.0; dim],
             out_buf: vec![0.0; ActuatorSignal::DIM],
             engine,
             regressor,
@@ -155,6 +164,12 @@ impl FfcModel {
     /// The pipeline configuration.
     pub fn pipeline(&self) -> &PipelineConfig {
         &self.pipeline
+    }
+
+    /// The window and decimation rule `observe` follows: which ticks
+    /// push, and which owe a push's lanes.
+    pub fn schedule(&self) -> WindowSchedule {
+        self.schedule
     }
 
     /// The feature set in use.
@@ -226,39 +241,39 @@ impl FfcModel {
     }
 
     /// Normalizes this tick's features once and steps them through the
-    /// bank: the live lane when the history is full, from the frozen
-    /// prefix on a plain tick, and on a decimated push every started
-    /// partial window and the live lane as one lane range, freezing the
-    /// prefix the push completes. Returns the live lane's prediction, if
-    /// the history was full. Allocation-free.
+    /// bank as [`WindowSchedule`] says for this tick: first the lanes the
+    /// push before it owes, with that push's row; then, once the history
+    /// is full, the live lane from the frozen prefix; and on a push the
+    /// lanes it steps at once, freezing the prefix it completes. Returns
+    /// the live lane's prediction, if the history was full.
+    /// Allocation-free.
     fn step_bank(&mut self) -> Result<Option<ActuatorSignal>, pidpiper_ml::PredictError> {
-        let cap = self.engine.config().window - 1;
-        let live = cap;
-        let ready = self.pushes == cap;
-        // With no history (`window == 1`) nothing pushes and the prefix
-        // is the frozen zero state.
-        let push = cap > 0 && self.step_counter.is_multiple_of(self.pipeline.decimate);
+        let tick = self.step_counter;
+        let live = self.schedule.history_cap();
+        let owed = self.schedule.bank_owed(tick);
+        if !owed.is_empty() {
+            self.engine.step_lanes(&self.owed_row, &mut self.bank, owed)?;
+        }
         self.engine.normalize_into(&self.feat_buf, &mut self.normed_buf)?;
-        if push {
-            if ready {
-                self.bank.copy_lane(self.head, live);
-            }
-            self.bank.zero_lane(self.head);
-            // Lanes `0..=head` are the started partial windows until the
-            // history is full, then all `cap`; the live lane follows them.
-            let lanes = if ready { 0..cap + 1 } else { 0..self.pushes + 1 };
-            self.engine.step_lanes(&self.normed_buf, &mut self.bank, lanes)?;
-            self.head = (self.head + 1) % cap;
-            self.pushes = (self.pushes + 1).min(cap);
-            if self.pushes == cap {
-                let prefix = self.head..self.head + 1;
-                let frozen = std::slice::from_mut(&mut self.frozen);
-                self.engine.freeze_lanes(&mut self.bank, prefix, frozen)?;
-            }
-        } else if ready {
-            let live = live..live + 1;
+        let ready = self.schedule.is_ready(tick);
+        if ready {
+            // Before a push freezes the next prefix: the live lane reads
+            // the one frozen at the push before.
+            let prefix = [&self.frozen];
             self.engine
-                .step_frozen(&self.normed_buf, &[&self.frozen], &mut self.bank, live)?;
+                .step_frozen(&self.normed_buf, &prefix, &mut self.bank, live..live + 1)?;
+        }
+        if let Some(push) = self.schedule.bank_push(tick) {
+            self.bank.zero_lane(push.restart);
+            self.engine.step_lanes(&self.normed_buf, &mut self.bank, push.now)?;
+            if let Some(lane) = push.freeze {
+                let frozen = std::slice::from_mut(&mut self.frozen);
+                self.engine.freeze_lanes(&mut self.bank, lane..lane + 1, frozen)?;
+            }
+            if !push.owed.is_empty() {
+                // The next tick normalizes into the other buffer.
+                std::mem::swap(&mut self.normed_buf, &mut self.owed_row);
+            }
         }
         if !ready {
             return Ok(None);
@@ -269,11 +284,10 @@ impl FfcModel {
         Ok(Some(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]])))
     }
 
-    /// Resets all runtime state (between missions).
+    /// Resets all runtime state (between missions). A push's owed lanes
+    /// are dropped with the rest, since the schedule restarts at tick 0.
     pub fn reset(&mut self) {
         self.bank.reset();
-        self.head = 0;
-        self.pushes = 0;
         self.step_counter = 0;
         self.last_prediction = None;
     }
@@ -287,10 +301,10 @@ impl FfcModel {
     ///
     /// Every window is a lane of a [`BatchedStreamingRegressor`] step, a
     /// row of its GEMMs. With `cap = window - 1`, the history after
-    /// `p >= cap` pushes is the sampled rows of ticks
-    /// `(p - cap) * decimate ..= (p - 1) * decimate`, and tick `t` reads
-    /// the history after `ceil(t / decimate)` pushes (the push of a
-    /// sampled tick lands after its own refresh).
+    /// `p >= cap` pushes is the rows of samples `p - cap..p`, and tick `t`
+    /// reads the history after the pushes of the ticks before it (the
+    /// push of a sampled tick lands after its own refresh), both as
+    /// [`WindowSchedule`] counts them.
     /// The prefixes are taken in chunks of up to 64, across traces:
     ///
     /// - *prefix phase*: each prefix is a lane; all lanes step their `cap`
@@ -326,9 +340,9 @@ impl FfcModel {
             row.extend_from_slice(r);
             normalizer.transform_into(&row, r);
         }
-        let cap = self.engine.config().window - 1;
-        let decimate = self.pipeline.decimate;
-        let warmup = if cap == 0 { 0 } else { (cap - 1) * decimate + 1 };
+        let schedule = self.schedule;
+        let cap = schedule.history_cap();
+        let warmup = schedule.first_ready_tick();
         let batched = BatchedStreamingRegressor::compile(&self.engine);
         let mut starts = Vec::with_capacity(ticks.len());
         let mut start = 0;
@@ -341,8 +355,7 @@ impl FfcModel {
             batched,
             rows: &normed,
             dim,
-            cap,
-            decimate,
+            schedule,
             starts,
             live_trace: Vec::with_capacity(REPLAY_LANES),
             series: ticks
@@ -356,7 +369,7 @@ impl FfcModel {
                 continue;
             }
             // The warm-up ends at the first tick reading `cap` pushes.
-            for pushes in cap..=(n - 1).div_ceil(decimate) {
+            for pushes in cap..=schedule.samples_before(n - 1) {
                 chunk.push(PrefixLane { trace, pushes, last_tick: n - 1 });
                 if chunk.len() == REPLAY_LANES {
                     replay.run_chunk(&chunk);
@@ -438,8 +451,7 @@ struct Replay<'a> {
     /// Normalized rows of every trace, back to back.
     rows: &'a [f64],
     dim: usize,
-    cap: usize,
-    decimate: usize,
+    schedule: WindowSchedule,
     /// First tick of each trace in `rows`.
     starts: Vec<usize>,
     /// Trace of each pending tick lane.
@@ -461,21 +473,17 @@ impl<'a> Replay<'a> {
             return;
         }
         self.scratch.reset_states();
-        for k in 0..self.cap {
+        let cap = self.schedule.history_cap();
+        for k in 0..cap {
             for (lane, l) in chunk.iter().enumerate() {
-                let sample = l.pushes - self.cap + k;
-                self.scratch.load_row(lane, self.row(l.trace, sample * self.decimate));
+                let tick = self.schedule.sample_tick(l.pushes - cap + k);
+                self.scratch.load_row(lane, self.row(l.trace, tick));
             }
             self.batched.step_batch(&mut self.scratch, chunk.len());
         }
         for (lane, l) in chunk.iter().enumerate() {
-            // Ticks reading `p` pushes: `t` with `ceil(t / decimate) == p`.
-            let first = match l.pushes {
-                0 => 0,
-                p => (p - 1) * self.decimate + 1,
-            };
-            let last = (l.pushes * self.decimate).min(l.last_tick);
-            for t in first..=last {
+            let ticks = self.schedule.ticks_reading(l.pushes);
+            for t in ticks.start..ticks.end.min(l.last_tick + 1) {
                 let live = REPLAY_LANES + self.live_trace.len();
                 self.scratch.copy_lane(lane, live);
                 self.scratch.load_row(live, self.row(l.trace, t));

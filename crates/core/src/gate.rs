@@ -58,22 +58,40 @@ impl Default for GateConfig {
 }
 
 impl GateConfig {
+    /// Checks parameter sanity.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violation: a zero window, non-positive
+    /// `nu0`/`kappa`, `g_min` outside `(0, 1)`, a `min_fill` beyond the
+    /// window, or a leak outside `[0, 0.1)`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        first_violation(&[
+            (self.window > 0, "window must be positive"),
+            (self.nu0 > 0.0, "nu0 must be positive"),
+            (self.kappa > 0.0, "kappa must be positive"),
+            (self.g_min > 0.0 && self.g_min < 1.0, "g_min must be in (0, 1)"),
+            (self.min_fill <= self.window, "min_fill must fit the window"),
+            (self.leak >= 0.0 && self.leak < 0.1, "leak must be in [0, 0.1)"),
+        ])
+    }
+
     /// Validates parameter sanity.
     ///
     /// # Panics
     ///
-    /// Panics on zero window, non-positive `nu0`/`kappa`, `g_min` outside
-    /// `(0, 1)`, or negative leak.
+    /// Panics on any violation [`GateConfig::check`] names.
     pub fn validate(&self) {
-        assert!(self.window > 0, "window must be positive");
-        assert!(self.nu0 > 0.0, "nu0 must be positive");
-        assert!(self.kappa > 0.0, "kappa must be positive");
-        assert!(
-            self.g_min > 0.0 && self.g_min < 1.0,
-            "g_min must be in (0, 1)"
-        );
-        assert!(self.min_fill <= self.window, "min_fill must fit the window");
-        assert!(self.leak >= 0.0 && self.leak < 0.1, "leak must be in [0, 0.1)");
+        let checked = self.check();
+        assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
+    }
+}
+
+/// The message of the first rule that does not hold, in order.
+pub(crate) fn first_violation(rules: &[(bool, &'static str)]) -> Result<(), &'static str> {
+    match rules.iter().find(|(holds, _)| !holds) {
+        Some(&(_, violation)) => Err(violation),
+        None => Ok(()),
     }
 }
 

@@ -19,6 +19,7 @@
 
 use crate::features::SensorPrimitives;
 use crate::ffc::FfcModel;
+use crate::gate::first_violation;
 use crate::monitor::{AxisThresholds, CusumMonitor};
 use crate::sanitizer::SensorSanitizer;
 use crate::strategy::{RecoveryContext, RecoveryStrategy, StrategyState};
@@ -63,15 +64,16 @@ impl Default for ConsistencyGates {
 }
 
 impl ConsistencyGates {
-    fn validate(&self) {
-        assert!(
-            self.pos_gap > 0.0
-                && self.gyro_gap > 0.0
-                && self.baro_gap > 0.0
-                && self.mag_gap > 0.0
-                && self.attitude_innovation > 0.0,
-            "consistency gates must be positive"
-        );
+    fn all_positive(&self) -> bool {
+        [
+            self.pos_gap,
+            self.gyro_gap,
+            self.baro_gap,
+            self.mag_gap,
+            self.attitude_innovation,
+        ]
+        .iter()
+        .all(|g| *g > 0.0)
     }
 }
 
@@ -102,11 +104,8 @@ impl Default for TrustBand {
 }
 
 impl TrustBand {
-    fn validate(&self) {
-        assert!(
-            self.angle > 0.0 && self.yaw_rate > 0.0 && self.thrust > 0.0,
-            "trust band widths must be positive"
-        );
+    fn all_positive(&self) -> bool {
+        self.angle > 0.0 && self.yaw_rate > 0.0 && self.thrust > 0.0
     }
 }
 
@@ -181,37 +180,40 @@ impl PidPiperConfig {
         self
     }
 
+    /// Checks parameter sanity.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violation: a non-positive drift, no monitored
+    /// axis, or any supervisor parameter out of range.
+    pub fn check(&self) -> Result<(), &'static str> {
+        first_violation(&[
+            (self.drifts.iter().all(|d| *d > 0.0), "drifts must be positive"),
+            (
+                self.thresholds.max_threshold().is_finite(),
+                "at least one axis must be monitored",
+            ),
+            (self.exit_hold_steps > 0, "exit hold must be positive"),
+            (self.lag_history > 0, "lag history must be positive"),
+            (self.consistency.all_positive(), "consistency gates must be positive"),
+            (self.band.all_positive(), "trust band widths must be positive"),
+            (
+                self.max_recovery_steps > 0,
+                "recovery watchdog budget must be positive",
+            ),
+            (self.ffc_offline_after > 0, "FFC offline debounce must be positive"),
+            (self.cusum_saturation > 1.0, "CUSUM saturation must exceed 1"),
+        ])
+    }
+
     /// Validates parameter sanity.
     ///
     /// # Panics
     ///
-    /// Panics if the drift is non-positive, no axis is monitored, or any
-    /// supervisor parameter is out of range.
+    /// Panics on any violation [`PidPiperConfig::check`] names.
     pub fn validate(&self) {
-        assert!(
-            self.drifts.iter().all(|d| *d > 0.0),
-            "drifts must be positive"
-        );
-        assert!(
-            self.thresholds.max_threshold().is_finite(),
-            "at least one axis must be monitored"
-        );
-        assert!(self.exit_hold_steps > 0, "exit hold must be positive");
-        assert!(self.lag_history > 0, "lag history must be positive");
-        self.consistency.validate();
-        self.band.validate();
-        assert!(
-            self.max_recovery_steps > 0,
-            "recovery watchdog budget must be positive"
-        );
-        assert!(
-            self.ffc_offline_after > 0,
-            "FFC offline debounce must be positive"
-        );
-        assert!(
-            self.cusum_saturation > 1.0,
-            "CUSUM saturation must exceed 1"
-        );
+        let checked = self.check();
+        assert!(checked.is_ok(), "{}", checked.err().unwrap_or_default());
     }
 }
 
@@ -377,7 +379,9 @@ impl PidPiper {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive error on any format violation.
+    /// Returns a descriptive error on any format violation, and on any
+    /// value [`PidPiperConfig::check`] or the sensor gate's
+    /// [`crate::gate::GateConfig::check`] refuses.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let version = match lines.next() {
@@ -504,6 +508,7 @@ impl PidPiper {
                 leak: toks[7].parse().map_err(|e| format!("bad leak: {e}"))?,
             },
         };
+        pipeline.gate.check()?;
         let fs_line = lines.next().ok_or("missing feature_set")?;
         let feature_set = match fs_line.strip_prefix("feature_set ") {
             Some("ffc-full") => crate::features::FeatureSet::FfcFull,
@@ -512,21 +517,20 @@ impl PidPiper {
         };
         let rest: String = lines.collect::<Vec<_>>().join("\n");
         let ffc = FfcModel::from_text(&rest, feature_set, pipeline)?;
-        Ok(PidPiper::new(
-            ffc,
-            PidPiperConfig {
-                thresholds,
-                drifts,
-                exit_hold_steps,
-                lag_history,
-                consistency,
-                band,
-                max_recovery_steps,
-                ffc_offline_after,
-                cusum_saturation,
-                strategy,
-            },
-        ))
+        let config = PidPiperConfig {
+            thresholds,
+            drifts,
+            exit_hold_steps,
+            lag_history,
+            consistency,
+            band,
+            max_recovery_steps,
+            ffc_offline_after,
+            cusum_saturation,
+            strategy,
+        };
+        config.check()?;
+        Ok(PidPiper::new(ffc, config))
     }
 }
 

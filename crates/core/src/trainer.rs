@@ -23,7 +23,7 @@ use crate::monitor::LagTolerantResidual;
 use crate::threshold::CalibrationSeries;
 use pidpiper_control::{ActuatorSignal, PositionGains};
 use pidpiper_missions::Trace;
-use pidpiper_ml::{LstmRegressor, RegressorConfig, TrainReport, WindowedDataset};
+use pidpiper_ml::{LstmRegressor, RegressorConfig, TrainReport, WindowSchedule, WindowedDataset};
 
 /// Training-pipeline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -162,6 +162,12 @@ impl Trainer {
         &self.config
     }
 
+    /// The deployed models' window schedule: the training rows are the
+    /// ticks it samples.
+    fn schedule(&self) -> WindowSchedule {
+        WindowSchedule::new(self.config.window, self.config.pipeline.decimate)
+    }
+
     /// Extracts the decimated FFC feature/target series from one trace,
     /// mirroring the deployed pipeline exactly: the sanitizer (gate +
     /// shadow estimator) replays over the raw readings, and features come
@@ -172,10 +178,11 @@ impl Trainer {
         let mut sanitizer = SensorSanitizer::new(self.config.pipeline.gate);
         let mut inputs = Vec::new();
         let mut targets = Vec::new();
+        let schedule = self.schedule();
         for (i, r) in trace.records().iter().enumerate() {
             let (clean, est) = sanitizer.process(&r.readings, dt);
             let prims = SensorPrimitives::collect(&est, &clean);
-            if i % self.config.pipeline.decimate == 0 {
+            if schedule.is_sample(i) {
                 inputs.push(assemble(
                     set,
                     &prims,
@@ -197,10 +204,11 @@ impl Trainer {
         let mut inputs = Vec::new();
         let mut targets = Vec::new();
         let mut prev_signal = ActuatorSignal::default();
+        let schedule = self.schedule();
         for (i, r) in trace.records().iter().enumerate() {
             let (clean, est) = sanitizer.process(&r.readings, dt);
             let prims = SensorPrimitives::collect(&est, &clean);
-            if i % self.config.pipeline.decimate == 0 {
+            if schedule.is_sample(i) {
                 inputs.push(assemble(set, &prims, &r.target, r.phase, &prev_signal));
                 targets.push(fbc_target(&r.est));
             }

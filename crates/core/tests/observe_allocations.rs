@@ -1,6 +1,6 @@
 //! Allocation gate for `FfcModel::observe`: after its first call, the
 //! per-tick path makes no heap allocation — warm-up, decimated push
-//! ticks, plain ticks and a reset included.
+//! ticks, the owed ticks after them, plain ticks and a reset included.
 //!
 //! A counting global allocator counts the heap allocations of the calling
 //! thread only, so the test harness's own threads do not disturb it.
@@ -77,20 +77,31 @@ fn observe_allocates_nothing_after_its_first_call() {
     );
     let target = TargetState::hover_at(Vec3::new(30.0, 0.0, 5.0), 0.0);
     let phase = FlightPhase::Cruise { wp_index: 0 };
-    let prims: Vec<SensorPrimitives> = (0..600).map(prims_at).collect();
+    let prims: Vec<SensorPrimitives> = (0..=600).map(prims_at).collect();
 
     model.observe(&prims[0], &target, phase);
     let before = ALLOCATIONS.with(Cell::get);
     let mut predicted = 0;
+    // Ticks since the last reset of the push's owed tick (the first quiet
+    // tick after a push, which steps the lanes the push left).
+    let mut owed = 0;
+    let mut since = 1;
     for (i, p) in prims.iter().enumerate().skip(1) {
-        if i == 400 {
+        if i == 401 {
             model.reset();
+            since = 0;
         }
         predicted += usize::from(model.observe(p, &target, phase).is_some());
+        owed += usize::from(since % 5 == 1);
+        since += 1;
     }
     let made = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(made, 0, "{made} allocations over 599 observe ticks");
-    // The loop covered the warm-up, push and plain ticks on both sides of
-    // the reset: window 20 at decimation 5 first predicts at tick 91.
-    assert_eq!(predicted, (400 - 91) + (200 - 91));
+    assert_eq!(made, 0, "{made} allocations over 600 observe ticks");
+    // The loop covered 120 whole decimation cycles (80 after the first
+    // push, 40 after the reset), each a push, its owed tick and three
+    // plain ticks, through the warm-up and full-history ticks on both
+    // sides of the reset: window 20 at decimation 5 first predicts at
+    // tick 91.
+    assert_eq!(owed, 120);
+    assert_eq!(predicted, (401 - 91) + (200 - 91));
 }

@@ -426,7 +426,7 @@ mod tests {
         // The exact figure the layout gives on a 64-bit target, at the
         // standard model (hidden 24, window 20, 24 features, fc 24, 4
         // outputs): 6,336 B of streaming state (ring 3,648 + frozen prefix
-        // 1,920 + partial window 768) and a 576-byte session struct, plus
+        // 1,920 + partial window 768) and a 560-byte session struct, plus
         // the shard's 144,896-byte batch working set (a 64-lane bank of
         // 98,304 B, input, dense and output rows of 40,960 B, bookkeeping
         // 5,632 B; no prefix slots, the replays freeze straight into the
@@ -435,7 +435,7 @@ mod tests {
         // one entry per owing session once the fleet ticks (24 B each).
         #[cfg(target_pointer_width = "64")]
         {
-            assert_eq!(a, 6336 + 576);
+            assert_eq!(a, 6336 + 560);
             assert_eq!(b, a + 144_896usize.div_ceil(4096));
             let ledger = FleetEngine::with_synthetic_model(
                 FleetConfig {
@@ -445,7 +445,7 @@ mod tests {
                 },
                 7,
             );
-            assert_eq!(ledger.bytes_per_session(), 7478);
+            assert_eq!(ledger.bytes_per_session(), 7462);
         }
         assert!(b > a, "batched accounting must include the amortized scratch");
     }

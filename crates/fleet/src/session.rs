@@ -22,7 +22,10 @@ use pidpiper_faults::FaultSchedule;
 use pidpiper_math::{Cusum, Vec3};
 use pidpiper_missions::{Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError,
     MissionSpec, StrategyKind};
-use pidpiper_ml::{FrozenPrefix, InferenceScratch, StateBank, StreamState, StreamingRegressor};
+use pidpiper_ml::{
+    FrozenPrefix, InferenceScratch, RingReplay, StateBank, StreamState, StreamingRegressor,
+    WindowSchedule,
+};
 
 /// What [`VehicleSession::begin_tick`] established before inference: the
 /// simulated time, whether the fault schedule is active, and whether the
@@ -36,14 +39,15 @@ pub(crate) struct TickPrologue {
     pub(crate) normed_ok: bool,
 }
 
-/// The ring replay a tick leaves owing (see [`VehicleSession::finish_tick`]):
-/// history rows `first..first + rows` (ring order, oldest first), stepped
-/// from the session's partial window when `resume` (the rows before
-/// `first` are already in it) or else from zero, then frozen into the
-/// prefix when `freeze` (a push) or kept as the new partial (a pre-step).
-/// Row counts are bounded by the window, so they are kept as `u32`: a
-/// shard queues one replay per owing session, and the narrower fields
-/// keep an entry of that queue at 24 bytes instead of 32.
+/// The ring replay a tick leaves owing (see [`VehicleSession::finish_tick`]),
+/// a [`RingReplay`] in a shard's queue: history rows
+/// `first..first + rows` (ring order, oldest first), stepped from the
+/// session's partial window when `resume` (the rows before `first` are
+/// already in it) or else from zero, then frozen into the prefix when
+/// `freeze` (a push) or kept as the new partial (a pre-step). Row counts
+/// are bounded by the window, so they are kept as `u32`: a shard queues
+/// one replay per owing session, and the narrower fields keep an entry
+/// of that queue at 24 bytes instead of 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Replay {
     pub(crate) first: u32,
@@ -53,13 +57,13 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    fn new(first: usize, rows: usize, freeze: bool) -> Self {
+    fn new(r: RingReplay) -> Self {
         let narrow = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Replay {
-            first: narrow(first),
-            rows: narrow(rows),
-            resume: freeze && first > 0,
-            freeze,
+            first: narrow(r.rows.start),
+            rows: narrow(r.rows.len()),
+            resume: r.resume,
+            freeze: r.freeze,
         }
     }
 
@@ -254,11 +258,10 @@ pub struct VehicleSession {
     /// `None` until the first push, while the prefix is the engine's
     /// frozen zero state, so admitting a session writes no prefix memory.
     prefix: Option<FrozenPrefix>,
-    /// The next window's first `pre_rows` rows stepped from zero;
-    /// `None` until the first pre-step, like `prefix`.
+    /// The next window's first rows stepped from zero (as many as the
+    /// schedule's pre-step took); `None` until the first pre-step, like
+    /// `prefix`.
     partial: Option<StreamState>,
-    pre_rows: usize,
-    ticks_since_push: usize,
     ema: [f64; 4],
     ema_primed: bool,
     cusum: [Cusum; 4],
@@ -282,13 +285,11 @@ impl VehicleSession {
         let ph = |k: u64| ((s.wrapping_mul(k) % 6283) as f64) * 1e-3;
         VehicleSession {
             phase: [ph(0x9E37), ph(0x85EB), ph(0xC2B2)],
-            ring: Vec::with_capacity((c.window - 1) * c.input_dim),
+            ring: Vec::with_capacity(Self::schedule(engine, params).history_cap() * c.input_dim),
             ring_rows: 0,
             ring_head: 0,
             prefix: None,
             partial: None,
-            pre_rows: 0,
-            ticks_since_push: 0,
             ema: [0.0; 4],
             ema_primed: false,
             cusum: [
@@ -500,8 +501,8 @@ impl VehicleSession {
     ///
     /// Returns the ring replay the tick owes, for the caller to run
     /// ([`VehicleSession::replay`] inline, or batched with other
-    /// sessions'). The replay is split in two so no tick steps a whole
-    /// window:
+    /// sessions'). [`WindowSchedule::ring_replay`] splits it in two so no
+    /// tick steps a whole window:
     ///
     /// - on the quiet tick after a push, the first `⌊(window − 1) / 2⌋`
     ///   rows the next window shares with the ring (all but the oldest
@@ -512,7 +513,10 @@ impl VehicleSession {
     ///
     /// Each row is the same step in the same order as a whole replay, so
     /// the prefix keeps its bits. With `decimate = 1` there is no quiet
-    /// tick and the push replays the whole ring. Running the replay after
+    /// tick and the push replays the whole ring. Unlike the
+    /// single-vehicle FFC, a session predicts from a partial ring during
+    /// its warm-up: the replay covers whatever history the schedule
+    /// counts. Running the replay after
     /// this function is sound because it touches only the prefix and the
     /// partial, which nothing after the ring push here reads.
     pub(crate) fn finish_tick(
@@ -595,20 +599,12 @@ impl VehicleSession {
         let health = self.supervisor.observe(&y, tripped);
 
         // Decimated history-ring push, and the replay it owes.
-        self.ticks_since_push += 1;
-        let replay = if self.ticks_since_push >= params.decimate {
-            self.ticks_since_push = 0;
-            self.push_ring(engine, normed);
-            let first = std::mem::take(&mut self.pre_rows);
-            Some(Replay::new(first, self.ring_rows - first, true))
-        } else if self.ticks_since_push == 1 {
-            let cap = engine.config().window - 1;
-            let skip = usize::from(self.ring_rows == cap);
-            self.pre_rows = (cap / 2).min(self.ring_rows.saturating_sub(skip));
-            (self.pre_rows > 0).then(|| Replay::new(skip, self.pre_rows, false))
-        } else {
-            None
-        };
+        let schedule = Self::schedule(engine, params);
+        let tick = usize::try_from(self.ticks).unwrap_or(usize::MAX);
+        if schedule.is_push(tick) {
+            self.push_ring(engine, schedule.history_cap(), normed);
+        }
+        let replay = schedule.ring_replay(tick).map(Replay::new);
 
         // The per-session trace hook: same mixer as `Trace::fingerprint`.
         self.fingerprint.mix_f64(t);
@@ -631,13 +627,17 @@ impl VehicleSession {
         )
     }
 
-    /// Appends one normalized row to the circular history ring.
-    fn push_ring(&mut self, engine: &StreamingRegressor, row: &[f64]) {
+    /// The sessions' window schedule: a ring push on the last tick of
+    /// every `decimate` ticks, from the first session tick on.
+    fn schedule(engine: &StreamingRegressor, params: &SessionParams) -> WindowSchedule {
+        let s = WindowSchedule::new(engine.config().window, params.decimate);
+        s.with_phase(s.decimate() - 1)
+    }
+
+    /// Appends one normalized row to the circular history ring of
+    /// `cap_rows` rows (at least one: only a push calls this).
+    fn push_ring(&mut self, engine: &StreamingRegressor, cap_rows: usize, row: &[f64]) {
         let dim = engine.config().input_dim;
-        let cap_rows = engine.config().window - 1;
-        if cap_rows == 0 {
-            return;
-        }
         if self.ring_rows < cap_rows {
             self.ring.extend_from_slice(row);
             self.ring_rows += 1;
@@ -910,6 +910,6 @@ mod tests {
         // `Vec`, the prefix's four boxed rows and the partial's one box
         // (see engine::bytes_per_session tests for the whole figure).
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(std::mem::size_of::<VehicleSession>(), 576);
+        assert_eq!(std::mem::size_of::<VehicleSession>(), 560);
     }
 }

@@ -33,6 +33,9 @@
 //! - [`batch::BatchedStreamingRegressor`] — the same lane-row step for
 //!   batches that give every lane its own input row (fleet sessions,
 //!   calibration windows), over a caller-owned [`batch::BatchScratch`];
+//! - [`schedule::WindowSchedule`] — the one window and decimation rule:
+//!   which ticks sample a row, how much history a tick reads, and how a
+//!   push's work splits between the push and the quiet tick after it;
 //! - [`normalize::Normalizer`] — per-feature standardization;
 //! - [`dataset::WindowedDataset`] — sliding-window sample extraction from
 //!   mission time series;
@@ -56,6 +59,7 @@ pub mod lstm;
 pub mod network;
 pub mod normalize;
 pub mod param;
+pub mod schedule;
 pub mod selection;
 pub mod stream;
 mod train;
@@ -69,6 +73,7 @@ pub use lstm::LstmLayer;
 pub use network::{LstmRegressor, RegressorConfig, TrainReport};
 pub use normalize::Normalizer;
 pub use param::Param;
+pub use schedule::{BankPush, RingReplay, WindowSchedule};
 pub use selection::{greedy_forward_selection, vif_prune};
 pub use stream::{
     FrozenPrefix, InferenceScratch, PredictError, StateBank, StreamState, StreamingRegressor,
